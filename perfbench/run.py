@@ -22,13 +22,16 @@ Usage, from the repository root::
 
     python3 perfbench/run.py --workload table1 --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --workload all --seed 2 --seconds 10 --trace 1
-    python3 perfbench/run.py --workload table1 --against HEAD~1 --pairs 10
+    python3 perfbench/run.py --workload table1 --against HEAD~1
 
 ``--against REF`` is the A/B mode: it checks REF out in a temporary git
 worktree, runs this same benchmark code on that tree's ``src/`` and on
-this one's in interleaved pairs (alternating which side goes first), and
-reports each side's median and quartiles and the share of pairs this tree
-won.  ``--repin`` rewrites ``pins.json`` from the default-seed results.
+this one's in :data:`PAIRS` interleaved pairs (alternating which side
+goes first), and reports each side's median and quartiles and the share
+of pairs this tree won.  Both sides must load the same engine kernel
+(``meta.kernel``): a compiled ``_engine_c`` built in one tree only is
+git-ignored, so the other tree would run pure Python.  ``--repin``
+rewrites ``pins.json`` from checked default-seed results.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ PINS = HERE / "pins.json"
 TMP = ROOT / ".perfbench"
 #: Wall-clock limit of one invocation on one workload.
 LIMIT_S = 170.0
+#: Interleaved pairs of one A/B comparison: the fewest a gain claim may
+#: rest on.
+PAIRS = 10
+#: The worker's ``meta`` entries that describe the machine and the
+#: engine, which both sides of an A/B report.
+HOST_KEYS = ("host", "cpu_count", "python", "kernel")
 
 
 class BenchError(RuntimeError):
@@ -103,8 +112,8 @@ def failures(name: str, seed: int, data: dict, pins: dict) -> list:
     digest pinned in ``pins.json``.
     """
     references = {}
-    if seed == workloads.DEFAULT_SEED:
-        references[seed] = pins.get(name)
+    if seed == workloads.DEFAULT_SEED and name in pins:
+        references[seed] = pins[name]
     found = []
     for index, sample in enumerate([data["warmup"]] + data["runs"]):
         for error in sample["errors"]:
@@ -125,17 +134,36 @@ def _timed(data: dict) -> list:
     return [s for s in data["runs"] if "run_s" in s and not s["traced"]]
 
 
+def samples(data: dict) -> dict:
+    """Every end-to-end sample of the untraced runs, by metric (peak
+    memory is one per process)."""
+    runs = _timed(data)
+    return {
+        "run_s": [s["run_s"] for s in runs],
+        "setup_s": [s["setup_s"] for s in runs],
+        "tasks_per_s": [s["tasks_per_s"] for s in runs],
+        "snapshot_s": [t for s in runs for t in s["snapshots_s"]],
+        "peak_rss_mb": [data["peak_rss_mb"]],
+    }
+
+
 def end_to_end(data: dict) -> dict:
     """Medians of the untraced runs."""
-    runs = _timed(data)
-    med = statistics.median
-    return {
-        "run_s": med(s["run_s"] for s in runs),
-        "setup_s": med([s["setup_s"] for s in runs] + data["extra_setups"]),
-        "tasks_per_s": med(s["tasks_per_s"] for s in runs),
-        "snapshot_s": med(t for s in runs for t in s["snapshots_s"]),
-        "peak_rss_mb": data["peak_rss_mb"],
-    }
+    return {key: statistics.median(values)
+            for key, values in samples(data).items()}
+
+
+def tail(values: list, lower_is_better: bool):
+    """The percentile deepest into the worse tail that still has at
+    least ten samples beyond it, as (label, value); ``None`` when that
+    is no further out than the median."""
+    depth = int(100 * (1 - 10 / len(values)))
+    if depth <= 50:
+        return None
+    cuts = statistics.quantiles(values, n=100)
+    if lower_is_better:
+        return f"p{depth}", cuts[depth - 1]
+    return f"p{100 - depth}", cuts[99 - depth]
 
 
 def per_layer(data: dict) -> dict:
@@ -228,8 +256,17 @@ def measure(bench: dict, name: str, seed: int, seconds: float, trace: int,
     else:
         spec, values = bench["end_to_end"], end_to_end(data)
     metrics = _metrics(spec, values)
-    for metric, entry in metrics.items():
-        print(f"{name:<16}{metric:<28}{entry['value']:>16.6g} {entry['unit']}")
+    spread = {} if trace else samples(data)
+    for m in spec:
+        line = (f"{name:<16}{m['name']:<28}{values[m['name']]:>16.6g} "
+                f"{m['unit']}")
+        if m["name"] in spread:
+            runs = spread[m["name"]]
+            worse = tail(runs, m["better"] == "lower")
+            if worse is not None:
+                line += f"  (median; {worse[0]} {worse[1]:.6g})"
+            line += f"  n={len(runs)}"
+        print(line)
     attempted = 1 + len(data["runs"])
     bad = len({index for index, _ in failed})
     return {"correct": bad == 0, "attempted": attempted, "failed": bad,
@@ -242,25 +279,39 @@ def _quartiles(values: list) -> dict:
 
 
 def against(bench: dict, names: list, ref: str, seed: int, seconds: float,
-            pairs: int, pins: dict) -> dict:
+            pins: dict) -> dict:
     """Interleaved A/B of this tree against ``ref`` (see module doc)."""
     sha = _git("rev-parse", "--verify", f"{ref}^{{commit}}")
     tree = TMP / f"ab-{sha[:12]}"
     TMP.mkdir(exist_ok=True)
     _git("worktree", "add", "--detach", str(tree), sha)
     srcs = {"base": tree / "src", "head": ROOT / "src"}
-    report = {"against": sha, "commit": _commit(), "pairs": pairs,
-              "seed": seed, "workloads": {}}
+    metas: dict = {}
+    report = {"against": sha, "commit": _commit(), "pairs": PAIRS,
+              "seed": seed, "meta": metas, "workloads": {}}
     try:
         for name in names:
             medians = {"base": [], "head": []}
             failed = {"base": 0, "head": 0}
-            for i in range(pairs):
+            for i in range(PAIRS):
                 for side in (("base", "head") if i % 2 == 0
                              else ("head", "base")):
                     data = run_worker(srcs[side], name, seed, seconds, 0)
+                    meta = {key: data["meta"][key] for key in HOST_KEYS}
+                    if side not in metas:
+                        metas[side] = meta
+                        print(json.dumps({"meta": {side: meta}}))
+                    kernels = {m["kernel"] for m in metas.values()}
+                    if kernels != {meta["kernel"]}:
+                        raise BenchError(
+                            f"base and head load different engine kernels "
+                            f"({', '.join(sorted(kernels | {meta['kernel']}))}"
+                            f"); build the same one in both trees or set "
+                            f"REPRO_KERNEL")
                     failed[side] += len({index for index, _ in
                                          failures(name, seed, data, pins)})
+                    if not _timed(data):
+                        raise BenchError(f"{name}: no {side} run completed")
                     medians[side].append(end_to_end(data))
             rows = {}
             for metric in bench["end_to_end"]:
@@ -272,10 +323,10 @@ def against(bench: dict, names: list, ref: str, seed: int, seconds: float,
                 rows[key] = {"unit": metric["unit"],
                              "base": _quartiles(base),
                              "head": _quartiles(head),
-                             "head_wins": wins / pairs}
+                             "head_wins": wins / PAIRS}
                 print(f"{name:<16}{key:<14}base {rows[key]['base']['median']:.6g}"
                       f" head {rows[key]['head']['median']:.6g} {metric['unit']}"
-                      f"  head won {wins}/{pairs}")
+                      f"  head won {wins}/{PAIRS}")
             print(f"{name:<16}failed runs: base {failed['base']}, "
                   f"head {failed['head']}")
             report["workloads"][name] = {"metrics": rows, "failed": failed}
@@ -293,7 +344,6 @@ def main(argv=None) -> int:
                         help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--against", metavar="GIT_REF")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--repin", action="store_true")
     args = parser.parse_args(argv)
     names = list(workloads.NAMES) if args.workload == "all" else [args.workload]
@@ -303,18 +353,22 @@ def main(argv=None) -> int:
         seconds = (bench["run_seconds"] if args.seconds is None
                    else args.seconds)
         if args.repin:
+            # --seconds 0: the worker makes the warm-up run only.
             for name in names:
                 data = run_worker(ROOT / "src", name,
                                   workloads.DEFAULT_SEED, 0, 0)
+                failed = failures(name, workloads.DEFAULT_SEED, data, {})
+                if failed:
+                    raise BenchError(
+                        f"{name}: not repinned, its run failed: "
+                        + "; ".join(reason for _, reason in failed))
                 pins[name] = data["warmup"]["digest"]
             PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
             print(json.dumps(pins))
             return 0
         if args.against:
-            if args.pairs < 2:
-                raise BenchError("--pairs must be at least 2")
             result = against(bench, names, args.against, args.seed,
-                             seconds, args.pairs, pins)
+                             seconds, pins)
         else:
             results = [measure(bench, name, args.seed, seconds, args.trace,
                                pins) for name in names]

@@ -33,7 +33,9 @@ from time import perf_counter
 import layers
 import workloads
 
-#: Fewest timed runs per invocation, whatever ``--seconds`` says.
+#: Fewest timed runs per invocation when ``--seconds`` is positive.
+#: ``--seconds 0`` makes the warm-up run only, which is all that
+#: ``run.py --repin`` needs.
 MIN_RUNS = 3
 
 
@@ -91,10 +93,12 @@ def _one_run(name: str, seed: int, emit_path: str, targets=None) -> dict:
         UNIT_POOL.high_water = max(pool_high_water, UNIT_POOL.high_water)
         probe.remove()
 
+    # The event loop ends where the final snapshot starts; what follows
+    # it (the final emitted record, on churn-observed) is in run_s only.
     resets = probe.calls["metrics.reset"]
     snap_start, snap_end = probe.calls["metrics.snapshot"][-1]
     reset_s = sum(end - start for start, end in resets)
-    loop_s = (t2 - t1) - reset_s - (snap_end - snap_start)
+    loop_s = (snap_start - t1) - reset_s
     loop_start = resets[-1][1] if resets else t1
     tasks = sum(s.completed + s.aborted for s in result.per_class.values())
     sample.update(
@@ -121,7 +125,8 @@ def _one_run(name: str, seed: int, emit_path: str, targets=None) -> dict:
 
 
 def _check(name: str, config, sim, result, emit, sample: dict) -> None:
-    """Digest and check one run's output, then time its extra snapshots."""
+    """Digest and check one run's output, then time its extra snapshots
+    (``workloads.EXTRA_SNAPSHOTS``)."""
     record = json.dumps(
         result.to_dict(aggregate_nodes=workloads.aggregate_nodes(config)),
         sort_keys=True,
@@ -136,20 +141,6 @@ def _check(name: str, config, sim, result, emit, sample: dict) -> None:
         start = perf_counter()
         sim.metrics.snapshot(sim.env.now)
         sample["snapshots_s"].append(perf_counter() - start)
-
-
-def _extra_setups(name: str, seed: int, count: int) -> list:
-    """Construction-only set-up samples (see ``workloads.EXTRA_SETUPS``)."""
-    from repro import Simulation
-
-    config = workloads.build_config(name, seed)
-    samples = []
-    for _ in range(count):
-        gc.collect()
-        t0 = perf_counter()
-        Simulation(config)
-        samples.append(perf_counter() - t0)
-    return samples
 
 
 def main(argv=None) -> int:
@@ -172,14 +163,13 @@ def main(argv=None) -> int:
 
     seeds = run_seeds(seed)
     warmup = _one_run(name, next(seeds), emit_path)
-    timed, setups = [], []
+    timed = []
     started = perf_counter()
-    while len(timed) < MIN_RUNS or perf_counter() - started < args.seconds:
+    while args.seconds > 0 and (len(timed) < MIN_RUNS or
+                                perf_counter() - started < args.seconds):
         run_seed = next(seeds)
         if targets is None:
             timed.append(_one_run(name, run_seed, emit_path))
-            setups += _extra_setups(name, run_seed,
-                                    workloads.EXTRA_SETUPS[name])
         else:
             # A traced and an untraced run of the same seed, alternating
             # which goes first, so the overhead ratio sees the same
@@ -204,7 +194,6 @@ def main(argv=None) -> int:
         },
         "warmup": warmup,
         "runs": timed,
-        "extra_setups": setups,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
     }

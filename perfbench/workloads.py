@@ -48,20 +48,18 @@ UTILIZATION_TOLERANCE = {"table1": 0.10, "global-trees": 0.10,
                          "fleet-100k": 0.25}
 
 #: Further end states per run whose snapshot is timed like the final
-#: one, each ``SNAPSHOT_STEP`` time units past the last.  On the 6-node
-#: workloads the final snapshot's cost is set by how full the quantile
-#: sketches' pending blocks happen to be (it varies 3x from seed to seed),
-#: so one run's final snapshot alone is a poor sample.  The fleet's
-#: 0.5 s snapshot is set by its node count and needs none.
+#: one, each ``SNAPSHOT_STEP`` time units past the last, so ``snapshot_s``
+#: is the median over the final snapshot and these.  On the 6-node
+#: workloads a snapshot's cost is set by how full the quantile sketches'
+#: pending blocks happen to be (it varies 3x from seed to seed), and the
+#: 10-25 final snapshots of one invocation alone are too few: over the
+#: same five invocations per workload, their median spread 0.12
+#: (table1), 0.14 (global-trees) and 0.23 (churn-observed), against
+#: 0.05, 0.11 and 0.13 with these.  The fleet's 0.5 s snapshot is set by
+#: its node count and needs none.
 EXTRA_SNAPSHOTS = {"table1": 16, "global-trees": 16, "churn-observed": 16,
                    "fleet-100k": 0}
 SNAPSHOT_STEP = 100.0
-
-#: Construction-only ``Simulation(config)`` samples taken beside each
-#: timed run, so the sub-millisecond 6-node set-up time has a median of
-#: many samples.  The fleet's 1.5 s set-up needs none.
-EXTRA_SETUPS = {"table1": 10, "global-trees": 10, "churn-observed": 10,
-                "fleet-100k": 0}
 
 
 def build_config(name: str, seed: int):
