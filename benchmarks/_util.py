@@ -29,9 +29,8 @@ BENCH_SCENARIOS_JSON = Path(__file__).parent.parent / "BENCH_scenarios.json"
 BENCH_PREEMPTIVE_JSON = Path(__file__).parent.parent / "BENCH_preemptive.json"
 
 #: Machine-readable record of the engine-core benchmarks
-#: (``bench_core.py``): microbenchmarks are keyed by the active kernel
-#: implementation (``python``/``compiled``) so the same suite run under
-#: ``REPRO_KERNEL=compiled`` lands next to the pure-Python numbers.
+#: (``bench_core.py``): microbenchmarks are keyed ``python/<name>``,
+#: the engine kernel's name, as they have been since the first record.
 BENCH_CORE_JSON = Path(__file__).parent.parent / "BENCH_core.json"
 
 #: Machine-readable record of the observability benchmarks
@@ -112,7 +111,7 @@ def record_preemptive_bench(name: str, benchmark) -> Path | None:
 
 def record_core_bench(name: str, benchmark) -> Path | None:
     """Record one engine-core microbenchmark into ``BENCH_core.json``,
-    keyed by the active kernel implementation."""
+    keyed by the engine kernel's name."""
     from repro.sim.core import KERNEL
 
     return record_bench(BENCH_CORE_JSON, f"{KERNEL}/{name}", benchmark)

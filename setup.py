@@ -1,102 +1,9 @@
-"""Build script: pure-Python install plus the optional compiled kernel.
+"""Build script: a pure-Python install with zero build-time dependencies.
 
-The default build is pure Python with zero build-time dependencies (the
-offline environment also lacks the `wheel` package, so PEP 517 editable
-installs cannot build; this file keeps `setup.py develop` working).
-
-Optionally, the engine core (`repro/sim/_engine.py`) can be compiled
-ahead of time into the extension module ``repro.sim._engine_c``, which
-the kernel selector (`repro.sim.core`, ``REPRO_KERNEL=python|compiled|
-auto``) picks up at import time.  The compiled module is built from a
-build-time copy of the same source file, so both kernels are one code
-base and produce bit-identical results.
-
-Opt in with the ``REPRO_BUILD_KERNEL`` environment variable::
-
-    REPRO_BUILD_KERNEL=auto   python setup.py build_ext --inplace  # mypyc, then Cython
-    REPRO_BUILD_KERNEL=mypyc  python setup.py build_ext --inplace  # require mypyc
-    REPRO_BUILD_KERNEL=cython python setup.py build_ext --inplace  # require Cython
-
-Unset (or ``0``/``none``), the build is pure Python and never imports a
-compiler toolchain -- installing and testing this package must not
-depend on mypy or Cython (the test suite skips the compiled-kernel legs
-when the extension is absent).  With ``auto``, a missing toolchain
-degrades to the pure build with a notice instead of failing.
+The offline environment lacks the `wheel` package, so PEP 517 editable
+installs cannot build; this file keeps `setup.py develop` working.
 """
-
-import hashlib
-import os
-import shutil
-from pathlib import Path
 
 from setuptools import setup
 
-_ROOT = Path(__file__).parent
-_ENGINE = _ROOT / "src" / "repro" / "sim" / "_engine.py"
-#: Build-time shadow copy compiled under its own module name, so the
-#: pure-Python `_engine` stays importable next to the extension and
-#: ``REPRO_KERNEL=python`` keeps working against a compiled install.
-_SHADOW = _ROOT / "src" / "repro" / "sim" / "_engine_c.py"
-
-
-def _mypyc_extensions():
-    from mypyc.build import mypycify  # type: ignore[import-not-found]
-
-    # mypy infers the module name (repro.sim._engine_c) by crawling up
-    # from the file past the package __init__.py files.
-    return mypycify([str(_SHADOW)], opt_level="3")
-
-
-def _cython_extensions():
-    from Cython.Build import cythonize  # type: ignore[import-not-found]
-    from setuptools import Extension
-
-    return cythonize(
-        [Extension("repro.sim._engine_c", [str(_SHADOW)])],
-        language_level=3,
-    )
-
-
-def _kernel_extensions():
-    mode = os.environ.get("REPRO_BUILD_KERNEL", "").strip().lower()
-    if mode in ("", "0", "false", "none", "off"):
-        return []
-    if mode not in ("auto", "1", "true", "mypyc", "cython"):
-        raise SystemExit(
-            f"REPRO_BUILD_KERNEL={mode!r} is not a build mode; use "
-            "'auto', 'mypyc', 'cython', or unset for pure Python"
-        )
-    shutil.copyfile(_ENGINE, _SHADOW)
-    # Fingerprint the engine source into the build, so the kernel
-    # selector can detect (and refuse / fall back from) a stale
-    # extension after `_engine.py` is edited without a rebuild.
-    digest = hashlib.sha256(_ENGINE.read_bytes()).hexdigest()
-    with _SHADOW.open("a", encoding="utf-8") as shadow:
-        shadow.write(
-            "\n#: sha256 of the _engine.py this module was built from\n"
-            f'ENGINE_SOURCE_HASH = "{digest}"\n'
-        )
-    if mode in ("mypyc", "auto", "1", "true"):
-        try:
-            return _mypyc_extensions()
-        except Exception as exc:  # noqa: BLE001 - degrade per contract
-            if mode == "mypyc":
-                raise
-            print(f"repro: mypyc unavailable ({exc!r}); trying Cython")
-    try:
-        return _cython_extensions()
-    except Exception as exc:  # noqa: BLE001 - degrade per contract
-        if mode == "cython":
-            raise
-        print(
-            f"repro: no compiler toolchain ({exc!r}); "
-            "building the pure-Python kernel only"
-        )
-        # Remove the shadow so the kernel selector cannot mistake the
-        # uncompiled copy for a built extension (it double-checks the
-        # module __file__ anyway, but do not leave the trap around).
-        _SHADOW.unlink(missing_ok=True)
-        return []
-
-
-setup(ext_modules=_kernel_extensions())
+setup()

@@ -21,10 +21,10 @@ A checkpoint file is two consecutive pickle frames written atomically:
    the module-level id counters (work-unit ids, global-task ids), which
    trace labels derive from.
 
-Checkpoints are specific to the kernel leg that wrote them: the pickle
-stores engine class paths (``repro.sim._engine`` vs ``_engine_c``), and
-the two legs' objects are not interchangeable.  The header records the
-leg and :func:`load_checkpoint` refuses a mismatch.
+The header's ``kernel`` field is always ``"python"``.  A file whose
+header names another kernel pickles engine classes that do not exist
+here, so the header check refuses it up front rather than failing
+mid-unpickle.
 
 Not captured: generator processes (:class:`repro.sim.process.Process`)
 and conditions -- the system model is a pure callback machine and never
@@ -293,10 +293,9 @@ def _validate_header(header: Any, path: str) -> Dict[str, Any]:
     kernel = header.get("kernel")
     if kernel != KERNEL:
         raise CheckpointError(
-            f"{path}: checkpoint was written under the {kernel!r} kernel "
-            f"leg but this process runs {KERNEL!r}; restore under "
-            f"REPRO_KERNEL={kernel} (checkpoints are not portable across "
-            "kernel legs)"
+            f"{path}: checkpoint was written under the {kernel!r} engine "
+            "kernel, which has been removed; only checkpoints written by "
+            f"the {KERNEL!r} engine can be restored"
         )
     return header
 

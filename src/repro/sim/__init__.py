@@ -6,7 +6,7 @@ Public surface:
   :class:`AllOf`, :class:`AnyOf` -- the event/process machinery;
 * :class:`StreamFactory` -- reproducible named random streams;
 * the distribution classes in :mod:`repro.sim.distributions`;
-* :class:`Tally`, :class:`TimeWeighted`, :class:`Series` -- monitors;
+* :class:`MeanTally`, :class:`Tally`, :class:`TimeWeighted` -- monitors;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
@@ -30,7 +30,7 @@ from .errors import (
     SimulationError,
     StopSimulation,
 )
-from .monitor import MeanTally, Series, Tally, TimeWeighted
+from .monitor import MeanTally, Tally, TimeWeighted
 from .process import Process
 from .rng import StreamFactory
 
@@ -53,7 +53,6 @@ __all__ = [
     "MeanTally",
     "Process",
     "ProcessError",
-    "Series",
     "SimulationError",
     "StopSimulation",
     "StreamFactory",

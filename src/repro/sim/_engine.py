@@ -1,19 +1,16 @@
-"""Monomorphic discrete-event engine core (compile-ready).
+"""Monomorphic discrete-event engine core.
 
-This module is the kernel's hot loop, extracted from ``repro.sim.core``
-so that it can optionally be compiled ahead of time (mypyc preferred,
-Cython acceptable — see ``setup.py``).  ``repro.sim.core`` selects the
-implementation at import time (``REPRO_KERNEL=python|compiled|auto``)
-and re-exports the public API unchanged; nothing outside the ``sim``
-package imports this module directly.
+This module is the kernel's hot loop.  ``repro.sim.core`` re-exports
+its public API unchanged and layers the user-model machinery on top;
+nothing outside the ``sim`` package imports this module directly.
 
-Design rules (what "compile-ready" means here)
-----------------------------------------------
+Design rules
+------------
 
 * **Monomorphic final classes.**  Every class has ``__slots__``; the
   event path touches no properties, no ``**kwargs``, and no dynamic
   dispatch.  :class:`Environment` and :class:`_Sleep` are ``@final``;
-  :class:`Event` admits the two interpreted subclasses that live
+  :class:`Event` admits the two subclasses that live
   *outside* this module (``Process`` and ``Condition`` — the user-model
   layer, never on the hot path).
 * **Plain tuples on the heap.**  An event-list entry is
@@ -58,17 +55,6 @@ from itertools import count
 from typing import Any, Callable, Deque, List, Optional, final
 
 from .errors import EventLifecycleError, SimulationError, StopSimulation
-
-try:  # pragma: no cover - only present when mypy/mypyc is installed
-    from mypy_extensions import mypyc_attr
-except ImportError:  # pure-Python and Cython builds
-
-    def mypyc_attr(**_kwargs: Any) -> Callable[[type], type]:
-        def decorator(cls: type) -> type:
-            return cls
-
-        return decorator
-
 
 #: Default priority for scheduled events.  Lower values fire earlier among
 #: events scheduled for the same simulation time.
@@ -125,12 +111,11 @@ def _new_instance(cls: type) -> Any:
     Event-class ``__init__`` methods push onto the event list as a side
     effect, so unpickling must bypass them: allocate bare and let
     ``__setstate__`` fill the slots.  Module-level so pickles reference it
-    by name under either kernel leg.
+    by name.
     """
     return cls.__new__(cls)
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Event:
     """An occurrence that may happen at some point in simulation time.
 
@@ -144,7 +129,7 @@ class Event:
     Processes wait for events by ``yield``-ing them.
 
     The only subclasses outside this module are the user-model layer's
-    ``Process`` and ``Condition`` (interpreted, off the hot path); the
+    ``Process`` and ``Condition`` (off the hot path); the
     engine-internal subclasses are :class:`Timeout` and :class:`_Sleep`.
     """
 
@@ -639,7 +624,7 @@ class Environment:
 
         The reference implementation of one :meth:`run` loop iteration
         (pinned against the inlined loop by
-        ``tests/sim/test_engine_kernels.py``): drain the urgent deque
+        ``tests/sim/test_engine.py``): drain the urgent deque
         first, then pop the heap; pooled sleeps fire their single
         callback and recycle, every other event runs its callback list
         and re-raises undefused failures.  Raises

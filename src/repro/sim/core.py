@@ -5,33 +5,14 @@ list) and the :class:`Event` family.  It plays the role that the DeNet
 simulation language [Livny 1990] played for the original paper: a generic
 discrete-event substrate on which the task/node/scheduler model is built.
 
-Since the compile-ready split, the hot engine itself (event list, run
-loop, pooled sleeps, urgent deque) lives in :mod:`repro.sim._engine` —
-a self-contained, monomorphic module that can optionally be compiled
-ahead of time (see ``setup.py``).  This module selects the
-implementation at import time and re-exports the public API unchanged,
-then layers the *user-model* machinery on top: the condition events
+The hot engine itself (event list, run loop, pooled sleeps, urgent
+deque) lives in :mod:`repro.sim._engine`, a self-contained, monomorphic
+module whose public API this module re-exports unchanged.  On top of it
+sits the *user-model* machinery: the condition events
 (:class:`AllOf`/:class:`AnyOf`) here, and the generator
 :class:`~repro.sim.process.Process` (including the ``Interrupt``
 compatibility API) in :mod:`repro.sim.process`.  Neither is on the
 event hot path.
-
-Kernel selection
-----------------
-
-``REPRO_KERNEL`` picks the engine implementation:
-
-* ``auto`` (default) — the compiled extension ``repro.sim._engine_c``
-  if it is importable, else the pure-Python engine;
-* ``compiled`` — require the compiled extension (ImportError if it was
-  never built);
-* ``python`` — force the pure-Python engine even when a compiled build
-  exists.
-
-Both implementations are built from the same source and produce
-bit-identical fixed-seed results (pinned by
-``tests/system/test_golden_determinism.py`` on both legs).
-:data:`KERNEL` records which one is active.
 
 Design notes
 ------------
@@ -52,112 +33,26 @@ Design notes
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable
 
+from ._engine import (
+    NORMAL,
+    URGENT,
+    Callback,
+    Environment,
+    Event,
+    Timeout,
+    _Call,
+    _PENDING,
+    _Sleep,
+    _stop_simulation,
+)
 from .errors import SimulationError
 
-_KERNEL_CHOICE = (
-    os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
-)
-
-
-def _is_compiled_module(module: object) -> bool:
-    """True when ``module`` is an actual extension, not a stray ``.py``
-    shadow copy left behind by an aborted build."""
-    filename = getattr(module, "__file__", None) or ""
-    return not filename.endswith((".py", ".pyc"))
-
-
-def _compiled_module_is_stale(module: object) -> bool:
-    """True when the extension was built from a different ``_engine.py``.
-
-    ``setup.py`` fingerprints the engine source into the build
-    (``ENGINE_SOURCE_HASH``); if the source has been edited since, the
-    extension silently shadows those edits, so ``auto`` must fall back
-    and ``compiled`` must refuse.  Unverifiable (no source on disk, or
-    a pre-fingerprint build) counts as stale.
-    """
-    recorded = getattr(module, "ENGINE_SOURCE_HASH", None)
-    if not recorded:
-        return True
-    try:
-        import hashlib
-        from pathlib import Path
-
-        source = Path(__file__).with_name("_engine.py").read_bytes()
-    except OSError:
-        return True
-    return hashlib.sha256(source).hexdigest() != recorded
-
-
-if _KERNEL_CHOICE == "python":
-    from . import _engine as _impl
-elif _KERNEL_CHOICE == "compiled":
-    try:
-        from . import _engine_c as _impl  # type: ignore[no-redef]
-    except ImportError as _exc:
-        raise ImportError(
-            "REPRO_KERNEL=compiled, but the compiled kernel extension "
-            "repro.sim._engine_c is not built; build it with "
-            "REPRO_BUILD_KERNEL=auto python setup.py build_ext --inplace "
-            "(or use REPRO_KERNEL=python|auto for the pure-Python engine)"
-        ) from _exc
-
-    if not _is_compiled_module(_impl):
-        raise ImportError(
-            "REPRO_KERNEL=compiled, but repro.sim._engine_c resolves to a "
-            f"source file ({_impl.__file__}); rebuild with "
-            "REPRO_BUILD_KERNEL=auto python setup.py build_ext --inplace"
-        )
-    if _compiled_module_is_stale(_impl):
-        raise ImportError(
-            "REPRO_KERNEL=compiled, but repro.sim._engine_c was built from "
-            "a different _engine.py than the one installed; rebuild with "
-            "REPRO_BUILD_KERNEL=auto python setup.py build_ext --inplace"
-        )
-elif _KERNEL_CHOICE == "auto":
-    try:
-        from . import _engine_c as _impl  # type: ignore[no-redef]
-
-        if not _is_compiled_module(_impl):
-            raise ImportError("stray _engine_c source shadow")
-        if _compiled_module_is_stale(_impl):
-            import warnings
-
-            warnings.warn(
-                "repro.sim._engine_c is stale (built from a different "
-                "_engine.py); falling back to the pure-Python kernel -- "
-                "rebuild with REPRO_BUILD_KERNEL=auto python setup.py "
-                "build_ext --inplace",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            raise ImportError("stale _engine_c build")
-    except ImportError:
-        from . import _engine as _impl  # type: ignore[no-redef]
-else:
-    raise SimulationError(
-        f"REPRO_KERNEL={_KERNEL_CHOICE!r} is not a kernel; "
-        "use 'python', 'compiled', or 'auto'"
-    )
-
-#: Which engine implementation is active: ``"python"`` or ``"compiled"``.
-KERNEL: str = (
-    "compiled" if _impl.__name__.endswith("_engine_c") else "python"
-)
-
-# Re-exported engine API (unchanged public surface).
-NORMAL = _impl.NORMAL
-URGENT = _impl.URGENT
-Callback = _impl.Callback
-Environment = _impl.Environment
-Event = _impl.Event
-Timeout = _impl.Timeout
-_PENDING = _impl._PENDING
-_Call = _impl._Call
-_Sleep = _impl._Sleep
-_stop_simulation = _impl._stop_simulation
+#: The engine's name in checkpoint and metric-series headers and in
+#: benchmark metadata.  A checkpoint whose header names another kernel
+#: pickles engine classes that do not exist here, so it is refused.
+KERNEL: str = "python"
 
 
 class ConditionValue:

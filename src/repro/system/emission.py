@@ -19,7 +19,7 @@ invisible to the golden determinism gate (pinned in
 
 File format (one JSON object per line, torn tail tolerated):
 
-1. a ``header`` record (magic, version, kernel leg, seed, config);
+1. a ``header`` record (magic, version, engine kernel, seed, config);
 2. ``interval`` records at each trigger firing during the measured
    phase: ``now``, kernel ``events`` so far, ``cumulative`` (the
    ``RunResult.to_dict()`` of a mid-run snapshot), ``window``;

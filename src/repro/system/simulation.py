@@ -308,7 +308,7 @@ class Simulation:
         triggers are checked between slices.  Slicing is free in terms
         of determinism: the run-horizon sentinel consumes no sequence
         number, so ``run(until=a); run(until=b)`` is bit-identical to
-        ``run(until=b)`` (pinned by the engine kernel tests), and both
+        ``run(until=b)`` (pinned by the engine tests), and both
         the checkpoint snapshot and the emitted records only read state.
 
         Interval records are only cut during the measured phase --

@@ -1,58 +1,26 @@
-"""Engine-kernel contract tests, parametrized over implementations.
+"""Engine contract tests for :mod:`repro.sim._engine`.
 
-The compile-ready split put the kernel's hot loop into
-``repro.sim._engine`` with an optional compiled twin
-(``repro.sim._engine_c``, built by ``setup.py`` when a toolchain is
-available).  Both are one source file and must behave identically; these
-tests pin the event-ordering contract on every importable
-implementation, skipping the compiled leg cleanly when the extension
-was never built.
-
-The second half pins :meth:`Environment.step` as the faithful reference
-implementation of the inlined run loop: a manually stepped, traced
-simulation must match ``run()`` event for event and metric for metric.
+The first half pins the event-ordering contract of the engine module
+itself; the second half pins :meth:`Environment.step` as the faithful
+reference implementation of the inlined run loop: a manually stepped,
+traced simulation must match ``run()`` event for event and metric for
+metric.
 """
 
 from __future__ import annotations
 
-import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.sim import _engine as engine
 from repro.sim.errors import EventLifecycleError, SimulationError
 
 
-def _engine_implementations():
-    """(param-id, module) pairs for every importable engine."""
-    impls = [("python", importlib.import_module("repro.sim._engine"))]
-    try:
-        compiled = importlib.import_module("repro.sim._engine_c")
-    except ImportError:
-        compiled = None
-    if compiled is not None and not (
-        (getattr(compiled, "__file__", None) or "").endswith((".py", ".pyc"))
-    ):
-        impls.append(("compiled", compiled))
-    return impls
-
-
-_IMPLS = _engine_implementations()
-
-
-@pytest.fixture(
-    params=[impl for _, impl in _IMPLS],
-    ids=[name for name, _ in _IMPLS],
-)
-def engine(request):
-    """One engine implementation module (pure Python, and compiled when
-    built).  The compiled leg simply does not appear when absent --
-    pytest reports it neither failed nor errored, per the fallback
-    contract."""
-    return request.param
-
-
 class TestEventOrdering:
-    def test_time_order(self, engine):
+    def test_time_order(self):
         env = engine.Environment()
         order = []
         for delay in (5.0, 1.0, 3.0, 2.0, 4.0):
@@ -62,7 +30,7 @@ class TestEventOrdering:
         env.run()
         assert order == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_fifo_among_simultaneous(self, engine):
+    def test_fifo_among_simultaneous(self):
         env = engine.Environment()
         order = []
         for tag in "abcde":
@@ -72,7 +40,7 @@ class TestEventOrdering:
         env.run()
         assert order == list("abcde")
 
-    def test_urgent_calls_run_before_normal_events_at_same_time(self, engine):
+    def test_urgent_calls_run_before_normal_events_at_same_time(self):
         """An urgent ``_schedule_call`` issued while dispatching an event
         must run before every already-scheduled normal event at the same
         timestamp -- the deque bypass must be order-equivalent to the old
@@ -91,7 +59,7 @@ class TestEventOrdering:
         env.run()
         assert order == ["urgent", "normal-later"]
 
-    def test_urgent_calls_are_fifo(self, engine):
+    def test_urgent_calls_are_fifo(self):
         env = engine.Environment()
         order = []
         env._schedule_call(lambda e: order.append(1))
@@ -100,7 +68,7 @@ class TestEventOrdering:
         env.run()
         assert order == [1, 2, 3]
 
-    def test_normal_schedule_call_keeps_heap_fifo(self, engine):
+    def test_normal_schedule_call_keeps_heap_fifo(self):
         """NORMAL-priority calls interleave with other normal events by
         schedule order (they consume sequence keys)."""
         env = engine.Environment()
@@ -117,7 +85,7 @@ class TestEventOrdering:
         env.run()
         assert order == ["t1", "call", "t2"]
 
-    def test_run_until_horizon(self, engine):
+    def test_run_until_horizon(self):
         env = engine.Environment()
         fired = []
         env.timeout(20.0).callbacks.append(lambda e: fired.append(env.now))
@@ -128,20 +96,20 @@ class TestEventOrdering:
         assert fired == [20.0]
         assert env.now == 30.0
 
-    def test_event_at_horizon_instant_runs(self, engine):
+    def test_event_at_horizon_instant_runs(self):
         env = engine.Environment()
         fired = []
         env.timeout(10.0).callbacks.append(lambda e: fired.append(env.now))
         env.run(until=10.0)
         assert fired == [10.0]
 
-    def test_run_until_event(self, engine):
+    def test_run_until_event(self):
         env = engine.Environment()
         event = env.timeout(4.0, value="done")
         assert env.run(until=event) == "done"
         assert env.now == 4.0
 
-    def test_user_stop_inside_timed_run_withdraws_horizon(self, engine):
+    def test_user_stop_inside_timed_run_withdraws_horizon(self):
         """A StopSimulation raised by user code during ``run(until=t)``
         must not leave the horizon sentinel behind: a later run past
         ``t`` keeps going."""
@@ -160,7 +128,7 @@ class TestEventOrdering:
         assert fired == [5.0]
         assert env.now == 20.0
 
-    def test_sleep_pooling_and_cancel(self, engine):
+    def test_sleep_pooling_and_cancel(self):
         env = engine.Environment()
         fired = []
         sleep = env._sleep(2.0, lambda e: fired.append(env.now))
@@ -176,7 +144,7 @@ class TestEventOrdering:
         assert fired == [2.0]
         assert sleep in env._sleep_pool
 
-    def test_peek_and_step(self, engine):
+    def test_peek_and_step(self):
         env = engine.Environment()
         assert env.peek() == float("inf")
         env.timeout(9.0)
@@ -192,7 +160,7 @@ class TestEventOrdering:
         with pytest.raises(SimulationError):
             env.step()
 
-    def test_run_until_pooled_sleep_is_rejected(self, engine):
+    def test_run_until_pooled_sleep_is_rejected(self):
         """A pooled sleep is recycled at expiry, so waiting on one is
         always a bug -- the kernel fails loudly instead of returning
         instantly (pending sleeps carry no callback list)."""
@@ -201,22 +169,15 @@ class TestEventOrdering:
         with pytest.raises(SimulationError, match="pooled kernel sleep"):
             env.run(until=sleep)
 
-    def test_condition_over_pooled_sleep_is_rejected(self, engine):
-        from repro.sim.core import Environment as SelectedEnvironment
-
-        if engine.Environment is not SelectedEnvironment:
-            pytest.skip("conditions are bound to the selected kernel")
+    def test_condition_over_pooled_sleep_is_rejected(self):
         env = engine.Environment()
         sleep = env._sleep(5.0, lambda e: None)
         with pytest.raises(SimulationError, match="pooled kernel sleep"):
             env.all_of([sleep, env.timeout(1.0)])
 
-    def test_process_yielding_pooled_sleep_fails_loudly(self, engine):
-        from repro.sim.core import Environment as SelectedEnvironment
+    def test_process_yielding_pooled_sleep_fails_loudly(self):
         from repro.sim.errors import ProcessError
 
-        if engine.Environment is not SelectedEnvironment:
-            pytest.skip("Process is bound to the selected kernel")
         env = engine.Environment()
         failures = []
 
@@ -231,7 +192,7 @@ class TestEventOrdering:
         assert len(failures) == 1
         assert "pooled kernel sleep" in str(failures[0])
 
-    def test_failed_event_crashes_unless_defused(self, engine):
+    def test_failed_event_crashes_unless_defused(self):
         env = engine.Environment()
         env.event().fail(RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
@@ -239,6 +200,38 @@ class TestEventOrdering:
         env2 = engine.Environment()
         env2.event().fail(RuntimeError("ok")).defuse()
         env2.run()
+
+
+@pytest.mark.parametrize("value", ["compiled", "no-such-kernel"])
+def test_stale_kernel_variable_does_not_break_import(value):
+    """``REPRO_KERNEL`` once chose between this engine and a compiled
+    twin (``compiled`` raised ImportError without a build, an unknown
+    value raised SimulationError); a value left in a user's shell or CI
+    config must now be ignored."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, REPRO_KERNEL=value)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    output = subprocess.run(
+        [sys.executable, "-c",
+         "import repro, repro.sim.core; print(repro.sim.core.KERNEL)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert output.strip() == "python"
+
+
+def test_core_reexports_the_engine_objects():
+    """``repro.sim.core`` and the ``repro.sim`` package hand out the
+    engine's own classes, not wrappers or copies."""
+    import repro.sim
+    from repro.sim import core
+
+    for name in ("Environment", "Event", "Timeout", "NORMAL", "URGENT"):
+        assert getattr(core, name) is getattr(engine, name)
+    for name in ("Environment", "Event", "Timeout"):
+        assert getattr(repro.sim, name) is getattr(engine, name)
+    assert core.KERNEL == "python"
 
 
 class TestStepMatchesRunLoop:

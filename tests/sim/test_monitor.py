@@ -11,7 +11,6 @@ from repro.sim.monitor import (
     DecayedMean,
     DecayedRate,
     MeanTally,
-    Series,
     Tally,
     TimeWeighted,
 )
@@ -151,25 +150,6 @@ class TestTimeWeighted:
         assert busy.mean_at(10.0) == pytest.approx(0.3)
 
 
-class TestSeries:
-    def test_records_pairs(self):
-        series = Series("s")
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.times == [1.0, 2.0]
-        assert series.values == [10.0, 20.0]
-        assert len(series) == 2
-
-    def test_limit_truncates(self):
-        series = Series("s", limit=2)
-        for i in range(5):
-            series.record(float(i), float(i))
-        assert len(series) == 2
-
-    def test_repr(self):
-        assert "n=0" in repr(Series("x"))
-
-
 class TestDecayedMean:
     def test_empty_is_nan(self):
         assert math.isnan(DecayedMean(tau=10.0).value)
@@ -279,3 +259,16 @@ class TestMeanTallyStillMatchesTally:
             tally.observe(value)
             mean.observe(value)
         assert mean.mean == tally.mean
+
+
+def test_sim_package_exports_resolve():
+    """Every name ``repro.sim`` lists in ``__all__`` exists; the removed
+    ``Series`` monitor is gone from both the package and the module."""
+    import repro.sim
+    from repro.sim import monitor
+
+    for name in repro.sim.__all__:
+        assert hasattr(repro.sim, name), name
+    assert "Series" not in repro.sim.__all__
+    assert not hasattr(repro.sim, "Series")
+    assert not hasattr(monitor, "Series")

@@ -181,12 +181,33 @@ class TestHeaderContract:
             read_checkpoint_header(path)
 
     def test_kernel_mismatch_names_the_remedy(self, tmp_path):
-        other = "compiled" if KERNEL == "python" else "python"
-        path = self._crafted(tmp_path, kernel=other)
+        path = self._crafted(tmp_path, kernel="compiled")
         with pytest.raises(
-            CheckpointError, match=f"REPRO_KERNEL={other}"
+            CheckpointError,
+            match="'compiled' engine kernel, which has been removed",
         ):
             read_checkpoint_header(path)
+
+    def test_header_without_kernel_is_refused(self, tmp_path):
+        path = self._crafted(tmp_path)
+        header = pickle.loads(path.read_bytes())
+        del header["kernel"]
+        path.write_bytes(pickle.dumps(header, protocol=4))
+        with pytest.raises(CheckpointError, match="engine kernel"):
+            read_checkpoint_header(path)
+
+    def test_removed_kernel_is_refused_before_the_payload(self, tmp_path):
+        """The payload of a compiled-kernel checkpoint references
+        ``repro.sim._engine_c``, which no longer exists; the header check
+        must refuse the file before unpickling that payload."""
+        path = self._crafted(tmp_path, kernel="compiled")
+        # A pickle (GLOBAL opcode) of repro.sim._engine_c.Environment.
+        payload = b"crepro.sim._engine_c\nEnvironment\n."
+        path.write_bytes(path.read_bytes() + payload)
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(payload)
+        with pytest.raises(CheckpointError, match="has been removed"):
+            load_checkpoint(path)
 
 
 class TestSaveLoadRoundtrip:

@@ -3,19 +3,13 @@
 Covers the spec/live-set data model, the node-level crash/recover state
 machine (both semantics, both node kinds), the process manager's
 retry/timeout/backoff layer, the zero-rate bit-identity contract
-(fault-free configs wire nothing, pinned across both kernels), kernel
-pool hygiene under crash-cancelled timers, and the headline robustness
-evidence: retries strictly reduce the global missed-deadline ratio under
-lossy churn at the same seed.
+(fault-free configs wire nothing), kernel pool hygiene under
+crash-cancelled timers, and the headline robustness evidence: retries
+strictly reduce the global missed-deadline ratio under lossy churn at
+the same seed.
 """
 
 from __future__ import annotations
-
-import importlib.util
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -433,50 +427,6 @@ class TestZeroRateBitIdentity:
         # No fault streams were materialized.
         created = getattr(sim.streams, "_streams", {})
         assert not any("fault" in name for name in created)
-
-    @pytest.mark.parametrize("kernel", ["python", "compiled"])
-    def test_zero_rate_identity_under_kernel(self, kernel):
-        if kernel == "compiled" and not _compiled_kernel_available():
-            pytest.skip("compiled kernel extension not built")
-        env = dict(os.environ, REPRO_KERNEL=kernel)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", _ZERO_RATE_DRIVER],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        values = json.loads(output)
-        assert values["kernel"] == kernel
-        assert values["identical"] is True
-
-
-def _compiled_kernel_available() -> bool:
-    spec = importlib.util.find_spec("repro.sim._engine_c")
-    if spec is None or spec.origin is None:
-        return False
-    return not spec.origin.endswith((".py", ".pyc"))
-
-
-#: Subprocess driver: kernel selection is an import-time switch, so each
-#: leg runs in its own interpreter.  Prints whether a zero-rate FaultSpec
-#: run equals the no-spec run bit for bit.
-_ZERO_RATE_DRIVER = """
-import json
-from repro.sim.core import KERNEL
-from repro.system.config import baseline_config
-from repro.system.faults import FaultSpec
-from repro.system.simulation import simulate
-
-kwargs = dict(sim_time=2_000.0, warmup_time=200.0, seed=21)
-a = simulate(baseline_config(**kwargs, faults=FaultSpec()))
-b = simulate(baseline_config(**kwargs))
-print(json.dumps({"kernel": KERNEL, "identical": a == b}))
-"""
-
 
 class TestKernelPoolHygiene:
     """Crash-cancelled timers must recycle cleanly through the kernel's

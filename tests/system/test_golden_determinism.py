@@ -13,7 +13,6 @@ changelog note), not a silent drift.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -74,6 +73,43 @@ class TestSerialBaselineGolden:
         node0 = serial_result.per_node[0]
         assert node0.utilization == 0.5153333521237488
         assert node0.mean_queue_length == 0.4392931486126085
+
+
+#: Prints the serial-baseline result as canonical JSON (exact floats via
+#: repr round-trip) from a fresh interpreter.
+_FRESH_SERIAL_DRIVER = """
+import json
+from repro.system.config import baseline_config
+from repro.system.simulation import simulate
+
+result = simulate(
+    baseline_config(sim_time=2_500.0, warmup_time=250.0, seed=42)
+)
+print(json.dumps(result.to_dict(), sort_keys=True))
+"""
+
+
+class TestSerialBaselineInFreshInterpreter:
+    """The pinned run must not depend on string hashing or on state left
+    in the interpreter by earlier tests: a fresh process under a fixed,
+    different ``PYTHONHASHSEED`` reproduces the in-process result."""
+
+    @pytest.mark.parametrize("hash_seed", ["0", "12345"])
+    def test_matches_in_process_result(self, hash_seed, serial_result):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (
+                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+                env.get("PYTHONPATH", ""),
+            ) if p
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", _FRESH_SERIAL_DRIVER],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert output.strip() == json.dumps(
+            serial_result.to_dict(), sort_keys=True
+        )
 
 
 class TestParallelStructureGolden:
@@ -424,76 +460,6 @@ class TestDetectorOracleDefaultGolden:
         ]
 
 
-def _compiled_kernel_available() -> bool:
-    """True when the optional compiled engine extension is built."""
-    spec = importlib.util.find_spec("repro.sim._engine_c")
-    if spec is None or spec.origin is None:
-        return False
-    return not spec.origin.endswith((".py", ".pyc"))
-
-
-#: Driver executed in a subprocess with REPRO_KERNEL pinned: kernel
-#: selection happens at import time, so each leg needs its own
-#: interpreter.  Prints the serial-baseline golden observables as JSON
-#: (exact floats via repr round-trip).
-_KERNEL_GOLDEN_DRIVER = """
-import json, sys
-from repro.sim.core import KERNEL
-from repro.system.config import baseline_config
-from repro.system.simulation import simulate
-
-result = simulate(
-    baseline_config(sim_time=2_500.0, warmup_time=250.0, seed=42)
-)
-print(json.dumps({
-    "kernel": KERNEL,
-    "local_completed": result.local.completed,
-    "local_missed": result.local.missed,
-    "local_mean_response": result.local.mean_response,
-    "global_completed": result.global_.completed,
-    "global_mean_response": result.global_.mean_response,
-    "dispatched": [n.dispatched for n in result.per_node],
-    "node0_utilization": result.per_node[0].utilization,
-}))
-"""
-
-
-class TestGoldenAcrossKernels:
-    """The same pins must hold under every kernel implementation.
-
-    ``REPRO_KERNEL`` is an import-time switch, so each leg runs the
-    driver in a fresh subprocess.  The compiled leg skips cleanly when
-    the extension was never built (no toolchain at test time is the
-    supported default); forcing ``REPRO_KERNEL=python`` must always
-    work, per the fallback contract.
-    """
-
-    @pytest.mark.parametrize("kernel", ["python", "compiled"])
-    def test_serial_baseline_golden_under_kernel(self, kernel):
-        if kernel == "compiled" and not _compiled_kernel_available():
-            pytest.skip("compiled kernel extension not built")
-        env = dict(os.environ, REPRO_KERNEL=kernel)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", _KERNEL_GOLDEN_DRIVER],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        values = json.loads(output)
-        assert values["kernel"] == kernel
-        assert values["local_completed"] == 5136
-        assert values["local_missed"] == 1204
-        assert values["local_mean_response"] == 1.783879225470131
-        assert values["global_completed"] == 402
-        assert values["global_mean_response"] == 8.579486447843847
-        assert values["dispatched"] == [1155, 1142, 1112, 1144, 1127, 1065]
-        assert values["node0_utilization"] == 0.5153333521237488
-
-
 def _checkpoint_at(config, stop_time: float, path: str):
     """Advance a fresh :class:`Simulation` to ``stop_time`` and snapshot it.
 
@@ -512,30 +478,6 @@ def _checkpoint_at(config, stop_time: float, path: str):
     sim._warmup_done = True
     sim.env.run(until=stop_time)
     save_checkpoint(sim, path)
-
-
-#: Driver for the kernel legs: checkpoint mid-run, restore, finish, and
-#: compare against the straight-through run *in the same interpreter* --
-#: no pinned literals, and the module-level counters trivially align.
-_KERNEL_CHECKPOINT_DRIVER = """
-import json, os, sys, tempfile
-from repro.sim.core import KERNEL
-from repro.checkpoint import load_checkpoint, save_checkpoint
-from repro.system.config import baseline_config
-from repro.system.simulation import Simulation, simulate
-
-config = baseline_config(sim_time=2_500.0, warmup_time=250.0, seed=42)
-straight = simulate(config)
-path = os.path.join(tempfile.mkdtemp(), "golden.ckpt")
-sim = Simulation(config)
-sim.env.run(until=config.warmup_time)
-sim.metrics.reset(sim.env.now)
-sim._warmup_done = True
-sim.env.run(until=1_200.0)
-save_checkpoint(sim, path)
-resumed = load_checkpoint(path).run()
-print(json.dumps({"kernel": KERNEL, "identical": resumed == straight}))
-"""
 
 
 class TestCheckpointResumeGolden:
@@ -602,25 +544,6 @@ class TestCheckpointResumeGolden:
         assert os.path.exists(path)
         assert load_checkpoint(path).run() == serial_result
 
-    @pytest.mark.parametrize("kernel", ["python", "compiled"])
-    def test_resume_bit_identical_under_kernel(self, kernel, tmp_path):
-        if kernel == "compiled" and not _compiled_kernel_available():
-            pytest.skip("compiled kernel extension not built")
-        env = dict(os.environ, REPRO_KERNEL=kernel)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", _KERNEL_CHECKPOINT_DRIVER],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        values = json.loads(output)
-        assert values["kernel"] == kernel
-        assert values["identical"] is True
-
     def test_resume_restores_sketch_state_bit_identically(self, tmp_path):
         """The P² quantile sketches ride inside the metrics accumulators;
         a restored checkpoint must carry their complete marker state --
@@ -662,35 +585,6 @@ class TestCheckpointResumeGolden:
         assert finished.global_.p99_lateness == straight.global_.p99_lateness
 
 
-#: Driver for the kernel legs: the pinned serial-baseline observables
-#: must be identical with metric emission on -- emission is seq-free and
-#: draws no random numbers, so turning it on cannot move a single pin.
-_KERNEL_EMISSION_DRIVER = """
-import json, os, sys, tempfile
-from repro.sim.core import KERNEL
-from repro.system.config import baseline_config
-from repro.system.emission import EmissionPolicy, read_metrics_series
-from repro.system.simulation import simulate
-
-config = baseline_config(sim_time=2_500.0, warmup_time=250.0, seed=42)
-plain = simulate(config)
-path = os.path.join(tempfile.mkdtemp(), "golden.metrics.jsonl")
-emitted = simulate(
-    config, emit=EmissionPolicy(path=path, every_events=5_000)
-)
-final = read_metrics_series(path)[-1]
-print(json.dumps({
-    "kernel": KERNEL,
-    "identical": emitted == plain,
-    "final_matches": json.dumps(final["cumulative"], sort_keys=True)
-        == json.dumps(emitted.to_dict(), sort_keys=True),
-    "local_completed": emitted.local.completed,
-    "local_mean_response": emitted.local.mean_response,
-    "dispatched": [n.dispatched for n in emitted.per_node],
-}))
-"""
-
-
 class TestEmissionIsObservationOnly:
     """Metric emission must never perturb the simulation it observes.
 
@@ -700,15 +594,19 @@ class TestEmissionIsObservationOnly:
     """
 
     def test_emission_on_equals_pinned_result(self, serial_result, tmp_path):
-        from repro.system.emission import EmissionPolicy
+        from repro.system.emission import EmissionPolicy, read_metrics_series
 
+        path = str(tmp_path / "m.jsonl")
         emitted = simulate(
             baseline_config(sim_time=SIM_TIME, warmup_time=WARMUP, seed=42),
-            emit=EmissionPolicy(
-                path=str(tmp_path / "m.jsonl"), every_events=5_000
-            ),
+            emit=EmissionPolicy(path=path, every_events=5_000),
         )
         assert emitted == serial_result
+        # The series' final record carries the same RunResult.
+        final = read_metrics_series(path)[-1]
+        assert json.dumps(final["cumulative"], sort_keys=True) == json.dumps(
+            emitted.to_dict(), sort_keys=True
+        )
 
     def test_percentiles_exposed_and_ordered(self, serial_result):
         for stats in (serial_result.local, serial_result.global_):
@@ -724,31 +622,6 @@ class TestEmissionIsObservationOnly:
         )
         simulation.metrics.enable_windows(tau=250.0, now=0.0)
         assert simulation.run() == serial_result
-
-    @pytest.mark.parametrize("kernel", ["python", "compiled"])
-    def test_emission_invisible_under_kernel(self, kernel):
-        if kernel == "compiled" and not _compiled_kernel_available():
-            pytest.skip("compiled kernel extension not built")
-        env = dict(os.environ, REPRO_KERNEL=kernel)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", _KERNEL_EMISSION_DRIVER],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        values = json.loads(output)
-        assert values["kernel"] == kernel
-        assert values["identical"] is True
-        assert values["final_matches"] is True
-        # The original pins, with emission on.
-        assert values["local_completed"] == 5136
-        assert values["local_mean_response"] == 1.783879225470131
-        assert values["dispatched"] == [1155, 1142, 1112, 1144, 1127, 1065]
-
 
 class TestTracingIsObservationOnly:
     """Tracing must never perturb the simulation it observes.
