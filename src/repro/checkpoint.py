@@ -48,7 +48,11 @@ from .sim.core import KERNEL
 
 #: First bytes of every checkpoint file (as a pickled header field).
 CHECKPOINT_MAGIC = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+#: Version 2: nodes pickle slotted, with their server callbacks armed on
+#: first wake and one ready-queue sequence counter shared by the fleet.
+#: A version-1 payload holds nodes of the older shape, so its header is
+#: refused before the payload is unpickled.
+CHECKPOINT_VERSION = 2
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

@@ -26,6 +26,7 @@ The per-signal layout mirrors ``TimeWeighted`` field for field:
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List
 
@@ -38,11 +39,13 @@ class FleetState:
     Three time-weighted signals per node (``busy``, ``queue``, ``down``)
     plus five event counters (``dispatched``, ``preemptions``,
     ``crashes``, ``lost``, ``suspicions``).  Nodes and the metrics
-    collector view into these lists; nothing copies them.
+    collector view into these lists; nothing copies them.  Also owns
+    ``queue_seq``, the FIFO tie-break counter every node's ready queue
+    shares (see :mod:`repro.system.schedulers`).
     """
 
     __slots__ = (
-        "node_count",
+        "node_count", "queue_seq",
         "busy_value", "busy_area", "busy_last", "busy_start",
         "busy_min", "busy_max",
         "queue_value", "queue_area", "queue_last", "queue_start",
@@ -54,6 +57,7 @@ class FleetState:
 
     def __init__(self, node_count: int) -> None:
         self.node_count = node_count
+        self.queue_seq = itertools.count()
         for kind in ("busy", "queue", "down"):
             for field in ("value", "area", "last", "start", "min", "max"):
                 setattr(self, f"{kind}_{field}", [0.0] * node_count)
@@ -72,21 +76,16 @@ class FleetState:
         value is *kept* (a node busy -- or down -- across the warm-up
         boundary stays busy/down in the measured window), the area and
         window start over, and the extrema collapse to the current value.
+        Slice assignment keeps every list object (nodes hold refs).
         """
+        n = self.node_count
         for kind in ("busy", "queue", "down"):
             values = getattr(self, f"{kind}_value")
-            areas = getattr(self, f"{kind}_area")
-            lasts = getattr(self, f"{kind}_last")
-            starts = getattr(self, f"{kind}_start")
-            mins = getattr(self, f"{kind}_min")
-            maxs = getattr(self, f"{kind}_max")
-            for i in range(self.node_count):
-                areas[i] = 0.0
-                lasts[i] = now
-                starts[i] = now
-                value = values[i]
-                mins[i] = value
-                maxs[i] = value
+            getattr(self, f"{kind}_area")[:] = [0.0] * n
+            getattr(self, f"{kind}_last")[:] = [now] * n
+            getattr(self, f"{kind}_start")[:] = [now] * n
+            getattr(self, f"{kind}_min")[:] = values
+            getattr(self, f"{kind}_max")[:] = values
 
     def reset_counters(self) -> None:
         """Zero the per-node event counters, in place (nodes hold refs)."""

@@ -16,8 +16,11 @@ the window grows.)
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, fields
+from functools import reduce
+from operator import add, attrgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..core.task import TaskClass
 from ..sim.monitor import DecayedMean, DecayedRate, MeanTally
@@ -106,7 +109,7 @@ class ClassStats:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeStats:
     """Immutable snapshot of one node's load statistics."""
 
@@ -151,6 +154,70 @@ class NodeStats:
         )
 
 
+class NodeTable(Sequence):
+    """Immutable, columnar per-node statistics: a ``Sequence[NodeStats]``.
+
+    Holds one tuple per :class:`NodeStats` field instead of one frozen
+    object per node, so freezing a 100k-node run allocates nine tuples,
+    not 100k dataclasses.  ``table[i]`` (negative indices included) and
+    iteration build :class:`NodeStats` on demand, slicing returns a list
+    of them, and ``==`` compares element-wise with another table or with
+    a list/tuple of :class:`NodeStats`.  Aggregates read whole columns
+    through :meth:`column`.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns: Iterable[Any]) -> None:
+        """One column per :class:`NodeStats` field, in field order."""
+        if len(columns) != len(_NODE_FIELDS):
+            raise TypeError(
+                f"NodeTable takes {len(_NODE_FIELDS)} columns "
+                f"({', '.join(_NODE_FIELDS)}), got {len(columns)}"
+            )
+        columns = tuple(map(tuple, columns))
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("NodeTable columns differ in length")
+        self._columns = columns
+
+    @classmethod
+    def from_stats(cls, stats: Iterable[NodeStats]) -> "NodeTable":
+        """The table of a sequence of :class:`NodeStats`, in order."""
+        stats = list(stats)
+        return cls(*(map(attrgetter(name), stats) for name in _NODE_FIELDS))
+
+    def column(self, name: str) -> tuple:
+        """Every node's value of the :class:`NodeStats` field ``name``."""
+        return self._columns[_NODE_FIELDS.index(name)]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, key: Union[int, slice]):
+        if isinstance(key, slice):
+            return list(map(NodeStats, *(c[key] for c in self._columns)))
+        return NodeStats(*[column[key] for column in self._columns])
+
+    def __iter__(self) -> Iterator[NodeStats]:
+        return map(NodeStats, *self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeTable):
+            return self._columns == other._columns
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"NodeTable({list(self)!r})"
+
+
+#: :class:`NodeStats` field names in order: the :class:`NodeTable` columns.
+_NODE_FIELDS = tuple(field.name for field in fields(NodeStats))
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Everything measured in one simulation run."""
@@ -158,7 +225,9 @@ class RunResult:
     sim_time: float
     warmup: float
     per_class: Dict[str, ClassStats]
-    per_node: List[NodeStats]
+    #: Per-node detail; any sequence of :class:`NodeStats` given here is
+    #: stored as a :class:`NodeTable`.
+    per_node: NodeTable
     #: Leaf resubmissions by the process manager's retry layer within the
     #: measured window (0 unless a retry-enabled :class:`FaultSpec` is set).
     retries: int = 0
@@ -181,6 +250,12 @@ class RunResult:
     #: drop per-node detail from serialized forms).  ``None`` on results
     #: snapshotted in-process, which keep full :attr:`per_node` detail.
     node_summary: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.per_node, NodeTable):
+            object.__setattr__(
+                self, "per_node", NodeTable.from_stats(self.per_node)
+            )
 
     @property
     def local(self) -> ClassStats:
@@ -217,7 +292,8 @@ class RunResult:
             if self.node_summary:
                 return self.node_summary.get("utilization_mean", float("nan"))
             return float("nan")
-        return sum(n.utilization for n in self.per_node) / len(self.per_node)
+        per_node = self.per_node
+        return sum(per_node.column("utilization")) / len(per_node)
 
     @property
     def mean_active_utilization(self) -> float:
@@ -232,11 +308,7 @@ class RunResult:
                     "active_utilization_mean", float("nan")
                 )
             return float("nan")
-        total = 0.0
-        for n in self.per_node:
-            uptime = 1.0 - n.downtime
-            total += n.utilization / uptime if uptime > 0.0 else 0.0
-        return total / len(self.per_node)
+        return _active_sum(self.per_node) / len(self.per_node)
 
     @property
     def mean_availability(self) -> float:
@@ -245,78 +317,73 @@ class RunResult:
             if self.node_summary:
                 return 1.0 - self.node_summary.get("downtime_mean", 0.0)
             return float("nan")
-        return 1.0 - sum(n.downtime for n in self.per_node) / len(self.per_node)
+        per_node = self.per_node
+        return 1.0 - sum(per_node.column("downtime")) / len(per_node)
 
     @property
     def total_preemptions(self) -> int:
         """Preemption events across all nodes in the measured window."""
         if not self.per_node and self.node_summary:
             return self.node_summary.get("preemptions", 0)
-        return sum(n.preemptions for n in self.per_node)
+        return sum(self.per_node.column("preemptions"))
 
     @property
     def total_crashes(self) -> int:
         """Crash events across all nodes in the measured window."""
         if not self.per_node and self.node_summary:
             return self.node_summary.get("crashes", 0)
-        return sum(n.crashes for n in self.per_node)
+        return sum(self.per_node.column("crashes"))
 
     @property
     def total_lost(self) -> int:
         """Crash-discarded work units across all nodes in the window."""
         if not self.per_node and self.node_summary:
             return self.node_summary.get("lost", 0)
-        return sum(n.lost for n in self.per_node)
+        return sum(self.per_node.column("lost"))
 
     @property
     def total_suspicions(self) -> int:
         """Detector suspicion events across all nodes in the window."""
         if not self.per_node and self.node_summary:
             return self.node_summary.get("suspicions", 0)
-        return sum(n.suspicions for n in self.per_node)
+        return sum(self.per_node.column("suspicions"))
 
     @staticmethod
-    def _summarize_nodes(per_node: List[NodeStats]) -> Dict[str, Any]:
-        """Fold per-node detail into the bounded aggregate record."""
+    def _summarize_nodes(per_node: NodeTable) -> Dict[str, Any]:
+        """Fold per-node detail into the bounded aggregate record.
+
+        Float sums accumulate node by node, in index order, so the
+        record is bit-identical to folding the :class:`NodeStats` one at
+        a time; the integer counters are exact under any order.
+        """
         count = len(per_node)
         if count == 0:
             return {"count": 0}
         util_sum = 0.0
         util_min = math.inf
         util_max = -math.inf
-        active_sum = 0.0
-        queue_sum = 0.0
-        downtime_sum = 0.0
-        dispatched = preemptions = crashes = lost = suspicions = 0
-        for n in per_node:
-            util = n.utilization
+        for util in per_node.column("utilization"):
             util_sum += util
             if util < util_min:
                 util_min = util
             if util > util_max:
                 util_max = util
-            uptime = 1.0 - n.downtime
-            active_sum += util / uptime if uptime > 0.0 else 0.0
-            queue_sum += n.mean_queue_length
-            downtime_sum += n.downtime
-            dispatched += n.dispatched
-            preemptions += n.preemptions
-            crashes += n.crashes
-            lost += n.lost
-            suspicions += n.suspicions
+        column = per_node.column
+        queue_sum = reduce(add, column("mean_queue_length"), 0.0)
+        downtime_sum = reduce(add, column("downtime"), 0.0)
         return {
             "count": count,
             "utilization_mean": util_sum / count,
             "utilization_min": util_min,
             "utilization_max": util_max,
-            "active_utilization_mean": active_sum / count,
+            "active_utilization_mean": _active_sum(per_node) / count,
             "queue_length_mean": queue_sum / count,
             "downtime_mean": downtime_sum / count,
-            "dispatched": dispatched,
-            "preemptions": preemptions,
-            "crashes": crashes,
-            "lost": lost,
-            "suspicions": suspicions,
+            "dispatched": sum(column("dispatched")),
+            "preemptions": sum(column("preemptions")),
+            "crashes": sum(column("crashes")),
+            "lost": sum(column("lost")),
+            "suspicions": sum(column("suspicions")),
         }
 
     def to_dict(self, aggregate_nodes: bool = False) -> Dict[str, Any]:
@@ -380,6 +447,31 @@ class RunResult:
             detection_latency=data.get("detection_latency", _NAN),
             node_summary=data.get("node_summary"),
         )
+
+
+def _active_sum(per_node: NodeTable) -> float:
+    """Sum of each node's utilization over its uptime (0.0 for a node
+    down all window), accumulated node by node in index order."""
+    total = 0.0
+    for util, downtime in zip(
+        per_node.column("utilization"), per_node.column("downtime")
+    ):
+        uptime = 1.0 - downtime
+        total += util / uptime if uptime > 0.0 else 0.0
+    return total
+
+
+def _window_means(values, areas, lasts, starts, now: float) -> List[float]:
+    """Every node's time-weighted signal mean at ``now``, in one pass.
+
+    Inlined ``TimeWeighted.mean_at`` (identical arithmetic; ``_NAN`` is
+    the shared empty-window singleton).
+    """
+    return [
+        _NAN if (elapsed := now - start) <= 0
+        else (area + value * (now - last)) / elapsed
+        for value, area, last, start in zip(values, areas, lasts, starts)
+    ]
 
 
 class _ClassAccumulator:
@@ -824,54 +916,26 @@ class MetricsCollector:
     def snapshot(self, now: float) -> RunResult:
         """Freeze current statistics into a :class:`RunResult`."""
         fleet = self.fleet
-        b_value, b_area, b_last, b_start = (
-            fleet.busy_value, fleet.busy_area, fleet.busy_last,
-            fleet.busy_start,
+        per_node = NodeTable(
+            range(fleet.node_count),
+            _window_means(
+                fleet.busy_value, fleet.busy_area, fleet.busy_last,
+                fleet.busy_start, now,
+            ),
+            _window_means(
+                fleet.queue_value, fleet.queue_area, fleet.queue_last,
+                fleet.queue_start, now,
+            ),
+            fleet.dispatched,
+            fleet.preemptions,
+            fleet.crashes,
+            fleet.lost,
+            _window_means(
+                fleet.down_value, fleet.down_area, fleet.down_last,
+                fleet.down_start, now,
+            ),
+            fleet.suspicions,
         )
-        q_value, q_area, q_last, q_start = (
-            fleet.queue_value, fleet.queue_area, fleet.queue_last,
-            fleet.queue_start,
-        )
-        d_value, d_area, d_last, d_start = (
-            fleet.down_value, fleet.down_area, fleet.down_last,
-            fleet.down_start,
-        )
-        per_node = []
-        for i in range(fleet.node_count):
-            # Inlined ``TimeWeighted.mean_at`` per signal (identical
-            # arithmetic; ``_NAN`` is the shared empty-window singleton).
-            elapsed = now - b_start[i]
-            if elapsed <= 0:
-                utilization = _NAN
-            else:
-                utilization = (
-                    b_area[i] + b_value[i] * (now - b_last[i])
-                ) / elapsed
-            elapsed = now - q_start[i]
-            if elapsed <= 0:
-                mean_queue = _NAN
-            else:
-                mean_queue = (
-                    q_area[i] + q_value[i] * (now - q_last[i])
-                ) / elapsed
-            elapsed = now - d_start[i]
-            if elapsed <= 0:
-                downtime = _NAN
-            else:
-                downtime = (
-                    d_area[i] + d_value[i] * (now - d_last[i])
-                ) / elapsed
-            per_node.append(NodeStats(
-                index=i,
-                utilization=utilization,
-                mean_queue_length=mean_queue,
-                dispatched=fleet.dispatched[i],
-                preemptions=fleet.preemptions[i],
-                crashes=fleet.crashes[i],
-                lost=fleet.lost[i],
-                downtime=downtime,
-                suspicions=fleet.suspicions[i],
-            ))
         per_class = {
             cls.value: acc.snapshot() for cls, acc in self._classes.items()
         }

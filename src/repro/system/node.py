@@ -40,7 +40,24 @@ from .work import WorkUnit
 
 
 class Node:
-    """One independent processing component with its own scheduler."""
+    """One independent processing component with its own scheduler.
+
+    Slotted, and cheap to build when idle: the wake-up event and the
+    bound server callbacks are created by :meth:`_arm` the first time
+    the node wakes, so a fleet node that never receives work holds
+    three GC-tracked objects (itself, its ready queue, the queue's heap).
+    """
+
+    __slots__ = (
+        "env", "index", "speed", "queue", "metrics", "overload_policy",
+        "_busy", "_serving", "_wake_pending",
+        "_up", "_sleep", "_service_end", "_frozen_left",
+        "_lose_in_flight", "_drop_queued",
+        "_fleet", "_q_value", "_q_area", "_q_last", "_q_min", "_q_max",
+        "_b_value", "_b_area", "_b_last", "_b_min", "_b_max",
+        "_outstanding_listener", "_heap", "_queue_key", "_queue_seq",
+        "_on_complete", "_wake_event", "_abort_check",
+    )
 
     def __init__(
         self,
@@ -60,7 +77,8 @@ class Node:
         #: homogeneous baseline keeps the exact ``timing.ex`` sleep (no
         #: division), so fixed-seed results are bit-identical.
         self.speed = speed
-        self.queue = ReadyQueue(policy)
+        fleet = metrics.fleet
+        self.queue = ReadyQueue(policy, fleet.queue_seq)
         self.metrics = metrics
         self.overload_policy = overload_policy or NoAbort()
         self._busy = False
@@ -80,7 +98,6 @@ class Node:
         # hot loops below update them with the exact arithmetic the old
         # inlined TimeWeighted updates performed, minus the per-signal
         # object indirection.
-        fleet = metrics.fleet
         self._fleet = fleet
         self._q_value = fleet.queue_value
         self._q_area = fleet.queue_area
@@ -97,29 +114,40 @@ class Node:
         #: placement policy (least-outstanding) binds this to learn of
         #: every submit/complete/crash/recover without scanning nodes.
         self._outstanding_listener = None
-        # Ready-queue internals and callback methods, bound once: pushes,
-        # dispatches and completions run once per unit, and bound-method
-        # creation alone is measurable at that rate.
+        # Ready-queue internals, bound once: pushes and dispatches run
+        # once per unit.
         queue = self.queue
         self._heap = queue._heap  # mutated in place by the queue
         self._queue_key = queue._key
         self._queue_seq = queue._seq
-        self._on_complete = self._complete
-        self._on_wake = self._dispatch_next
-        # The idle wake-up, pooled: one bare kernel call per node, reused
-        # for every schedule (the callback slot is never detached, so
-        # there is nothing to re-arm).  ``_wake_pending`` guarantees at
-        # most one outstanding schedule, so reuse is safe; the base class
-        # appends it to the kernel's urgent deque directly (the classic
-        # URGENT ``_schedule_call``), the preemptive subclass pushes it
-        # as a NORMAL heap entry.
-        self._wake_event = _Call(self._on_wake)
+        #: The pooled idle wake-up, ``None`` until :meth:`_arm` runs.
+        self._wake_event = None
         overload = self.overload_policy
         self._abort_check = (
             None
             if type(overload) is NoAbort
             else overload.should_abort_at_dispatch
         )
+
+    def _arm(self) -> _Call:
+        """Create the server callbacks on first wake; return the wake event.
+
+        Both wake paths (submit, recover) schedule ``self._wake_event or
+        self._arm()``, and every other callback user runs only after a
+        wake, so an idle node never pays for these.  The callbacks are
+        bound once: completions and wakes run once per unit, and
+        bound-method creation alone is measurable at that rate.  The
+        wake-up is pooled: one bare kernel call per node, reused for
+        every schedule (the callback slot is never detached, so there is
+        nothing to re-arm).  ``_wake_pending`` guarantees at most one
+        outstanding schedule, so reuse is safe; the base class appends it
+        to the kernel's urgent deque directly (the classic URGENT
+        ``_schedule_call``), the preemptive subclass pushes it as a
+        NORMAL heap entry.
+        """
+        self._on_complete = self._complete
+        wake = self._wake_event = _Call(self._dispatch_next)
+        return wake
 
     # -- submission ---------------------------------------------------------
 
@@ -186,7 +214,7 @@ class Node:
             self._wake_pending = True
             # Inlined urgent _schedule_call with the pooled wake event:
             # no allocation, no heap entry.
-            self.env._urgent.append(self._wake_event)
+            self.env._urgent.append(self._wake_event or self._arm())
 
     @property
     def busy(self) -> bool:
@@ -413,7 +441,7 @@ class Node:
             self._sleep = env._sleep(left, self._on_complete)
         elif self._heap and not self._wake_pending:
             self._wake_pending = True
-            env._urgent.append(self._wake_event)
+            env._urgent.append(self._wake_event or self._arm())
         listener = self._outstanding_listener
         if listener is not None:
             listener(index)

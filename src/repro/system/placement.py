@@ -430,7 +430,7 @@ class LeastOutstandingPlacement(PlacementPolicy):
         self._select_bit = (
             1 << (node_count.bit_length() - 1) if node_count else 0
         )
-        self._counts: List[int] = [0] * node_count
+        self._counts: List[int] = []
         self._down: List[bool] = [False] * node_count
         #: value -> Fenwick tree over member node indices.
         self._bucket_tree: Dict[int, List[int]] = {}
@@ -447,13 +447,24 @@ class LeastOutstandingPlacement(PlacementPolicy):
         if node_count:
             fleet = self.nodes[0].metrics.fleet
             self._fleet = fleet
-            queue_value = fleet.queue_value
-            busy_value = fleet.busy_value
+            counts = [
+                int(queued + busy)
+                for queued, busy in zip(fleet.queue_value, fleet.busy_value)
+            ]
+            self._counts = counts
+            if any(counts):
+                for index, count in enumerate(counts):
+                    self._bucket_insert(count, index)
+            else:
+                # The usual start, every node idle: one count-0 bucket
+                # holding every index, built in linear time.  A Fenwick
+                # tree of all ones stores each node's low bit.
+                self._bucket_tree[0] = [i & -i for i in range(node_count + 1)]
+                self._bucket_size[0] = node_count
+                self._heap_all.append(0)
+                self._heap_all_member.add(0)
             touch = self._touch
-            for index, node in enumerate(self.nodes):
-                count = int(queue_value[index] + busy_value[index])
-                self._counts[index] = count
-                self._bucket_insert(count, index)
+            for node in self.nodes:
                 node._outstanding_listener = touch
 
     def attach_live_set(self, live) -> None:

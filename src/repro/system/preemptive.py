@@ -64,6 +64,11 @@ from .work import WorkUnit
 class PreemptiveNode(Node):
     """A node whose server implements preemptive-resume scheduling."""
 
+    __slots__ = (
+        "_remaining", "_preemptions", "_preempt_pending",
+        "_service_began", "_service_demand", "_preempt_counts", "_poke",
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -84,18 +89,19 @@ class PreemptiveNode(Node):
         #: second poke that charges a spurious preemption to the unit
         #: dispatched by the first.
         self._preempt_pending = False
-        #: The cancellable completion timer of the unit in service.
-        self._sleep = None
         self._service_began = 0.0
         self._service_demand = 0.0
         super().__init__(env, index, policy, metrics, overload_policy, speed)
         self._preempt_counts = metrics.node_preemptions
-        self._on_preempt = self._preempt
-        # The urgent preemption poke, pooled: one bare kernel call per
-        # node, reused for every schedule (the callback slot is never
-        # detached, so there is nothing to re-arm).  ``_preempt_pending``
-        # guarantees at most one outstanding schedule, so reuse is safe.
-        self._poke = _Call(self._on_preempt)
+
+    def _arm(self) -> _Call:
+        """Also create the urgent preemption poke, pooled like the wake:
+        one bare kernel call per node, reused for every schedule.
+        ``_preempt_pending`` guarantees at most one outstanding schedule,
+        so reuse is safe.  A poke needs a unit in service, which needs a
+        wake first, so arming with the wake is early enough."""
+        self._poke = _Call(self._preempt)
+        return Node._arm(self)
 
     @property
     def preemptions(self) -> int:
@@ -154,7 +160,10 @@ class PreemptiveNode(Node):
             # consumption, no allocation.
             if not self._wake_pending and self._up:
                 self._wake_pending = True
-                heappush(env._queue, (now, env._next_seq(), self._wake_event))
+                heappush(
+                    env._queue,
+                    (now, env._next_seq(), self._wake_event or self._arm()),
+                )
             return
         serving = self._serving
         if serving is not None and not self._preempt_pending:
@@ -395,7 +404,8 @@ class PreemptiveNode(Node):
         if self._heap and not self._wake_pending:
             self._wake_pending = True
             heappush(
-                env._queue, (env._now, env._next_seq(), self._wake_event)
+                env._queue,
+                (env._now, env._next_seq(), self._wake_event or self._arm()),
             )
         listener = self._outstanding_listener
         if listener is not None:

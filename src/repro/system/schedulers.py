@@ -20,7 +20,10 @@ With a non-preemptive single server, every policy here admits an
 So the ready queue is a binary heap and dispatch is O(log n).  Keys are
 tuples ``(priority_class, policy_key, seq)``: the leading priority class
 implements Globals-First (elevated work always wins), and the trailing
-sequence number breaks ties FIFO, keeping runs deterministic.
+sequence number breaks ties FIFO, keeping runs deterministic.  Every
+ready queue of a simulation draws ``seq`` from one shared counter (the
+fleet's): heap order depends only on the relative order of the numbers
+within each heap, which a shared increasing counter preserves.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .work import WorkUnit
 
@@ -112,18 +115,22 @@ class ReadyQueue:
 
     A thin heap wrapper so :class:`~repro.system.node.Node` stays focused
     on service mechanics.  Keys are computed at insertion (valid for all
-    shipped policies; see module docstring).
+    shipped policies; see module docstring).  ``seq`` is the FIFO
+    tie-break counter, shared by every queue of a simulation; a
+    standalone queue gets its own.
     """
 
     __slots__ = ("_policy", "_key", "_heap", "_seq")
 
-    def __init__(self, policy: SchedulingPolicy) -> None:
+    def __init__(
+        self, policy: SchedulingPolicy, seq: Optional[Iterator[int]] = None
+    ) -> None:
         self._policy = policy
         # Bound once: push runs once per unit; prefer a policy's C-level
         # fast_key when it provides one.
         self._key = getattr(policy, "fast_key", None) or policy.key
         self._heap: List[Tuple[int, float, int, WorkUnit]] = []
-        self._seq = itertools.count()
+        self._seq = itertools.count() if seq is None else seq
 
     def push(self, unit: WorkUnit) -> None:
         """Enqueue a unit."""

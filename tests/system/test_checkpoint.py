@@ -180,6 +180,24 @@ class TestHeaderContract:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint_header(path)
 
+    def test_version_one_is_refused_before_the_payload(self, tmp_path):
+        """Version-1 files pickle nodes of the older shape (a ``__dict__``
+        per node, callbacks bound at construction, a counter per ready
+        queue); the header check must refuse them before unpickling."""
+        assert CHECKPOINT_VERSION == 2
+        path = self._crafted(tmp_path, version=1)
+        # A pickle (GLOBAL opcode) of a name the node module lacks.
+        payload = b"crepro.system.node\nNoSuchNodeShape\n."
+        path.write_bytes(path.read_bytes() + payload)
+        with pytest.raises(AttributeError):
+            pickle.loads(payload)
+        with pytest.raises(
+            CheckpointError, match="version 1 is not supported"
+        ):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="reads version 2"):
+            read_checkpoint_header(path)
+
     def test_kernel_mismatch_names_the_remedy(self, tmp_path):
         path = self._crafted(tmp_path, kernel="compiled")
         with pytest.raises(

@@ -169,8 +169,12 @@ class TestNodeCrashLost:
         assert metrics.node_lost[0] == 3
         assert node.queue_length == 0
 
-    def test_submission_while_down_waits_for_recovery(self, env, metrics):
-        node = make_node(env, metrics)
+    @pytest.mark.parametrize("preemptive", [False, True])
+    def test_submission_while_down_waits_for_recovery(
+        self, env, metrics, preemptive
+    ):
+        # The node first wakes at recovery, which must arm its callbacks.
+        node = make_node(env, metrics, preemptive=preemptive)
         node.configure_fault_semantics(lose_in_flight=True, drop_queued=False)
         env.run(until=1.0)
         node.crash()

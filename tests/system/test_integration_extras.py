@@ -16,10 +16,12 @@ from repro.system.schedulers import EarliestDeadlineFirst
 from repro.system.simulation import simulate
 
 
-def build_system(env, node_count=3, strategy="UD"):
+def build_system(env, node_count=3, strategy="UD", node_type=Node):
     metrics = MetricsCollector(node_count)
     nodes = [
-        Node(env=env, index=i, policy=EarliestDeadlineFirst(), metrics=metrics)
+        node_type(
+            env=env, index=i, policy=EarliestDeadlineFirst(), metrics=metrics
+        )
         for i in range(node_count)
     ]
     manager = ProcessManager(
@@ -85,15 +87,17 @@ class TestGFPriorities:
         assert local.timing.started_at == 5.0
 
     def test_gf_stamps_elevated_class_on_serial_stages(self, env):
-        manager, _, nodes = build_system(env, strategy="EQF-GF")
         captured = []
-        original = nodes[0].submit_nowait
 
-        def capture(unit):
-            captured.append(unit)
-            return original(unit)
+        class CapturingNode(Node):
+            def submit_nowait(self, unit):
+                if self.index == 0:
+                    captured.append(unit)
+                super().submit_nowait(unit)
 
-        nodes[0].submit_nowait = capture
+        manager, _, _ = build_system(
+            env, strategy="EQF-GF", node_type=CapturingNode
+        )
         tree = serial(SimpleTask(1.0, node_index=0), SimpleTask(1.0, node_index=1))
         manager.submit(tree, deadline=50.0)
         env.run()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.strategies.base import PriorityClass
@@ -11,7 +13,9 @@ from repro.sim.core import Environment
 from repro.system.metrics import MetricsCollector
 from repro.system.node import Node
 from repro.system.overload import AbortTardyAtDispatch
+from repro.system.preemptive import PreemptiveNode
 from repro.system.schedulers import EarliestDeadlineFirst
+from repro.system.simulation import Simulation
 from repro.system.work import WorkUnit
 
 
@@ -164,3 +168,53 @@ class TestAbortAtDispatch:
         survivor = submit(env, abort_node, ex=1.0, dl=50.0, name="survivor")
         env.run()
         assert survivor.timing.started_at == 10.0  # right after blocker
+
+
+class TestIdleFootprint:
+    """A fleet node that never wakes costs three GC-tracked objects: the
+    slotted node, its ready queue and the queue's heap list.  The wake
+    event and the bound server callbacks appear on first wake."""
+
+    NODES = 10_000
+    #: Per-simulation wiring (streams, sources, manager, collector, the
+    #: fleet arrays): about a hundred objects, whatever the node count.
+    FIXED = 200
+
+    @staticmethod
+    def _config(node_count, preemptive):
+        from repro.scenarios import get_scenario
+
+        return get_scenario("fleet-uniform").to_config(
+            node_count=node_count, preemptive=preemptive, seed=1
+        )
+
+    @pytest.mark.parametrize("preemptive", [False, True])
+    def test_build_allocates_three_objects_per_node(self, preemptive):
+        Simulation(self._config(10, preemptive))  # first-use imports
+        config = self._config(self.NODES, preemptive)
+        gc.collect()
+        before = len(gc.get_objects())
+        sim = Simulation(config)
+        gc.collect()
+        growth = len(gc.get_objects()) - before
+        assert growth <= 3 * self.NODES + self.FIXED
+        kind = PreemptiveNode if preemptive else Node
+        for node in sim.nodes:
+            assert type(node) is kind
+            assert not hasattr(node, "__dict__")
+            assert node._wake_event is None
+            assert not hasattr(node, "_on_complete")
+            assert not hasattr(node, "_poke")
+
+    @pytest.mark.parametrize("preemptive", [False, True])
+    def test_only_woken_nodes_are_armed(self, preemptive):
+        sim = Simulation(self._config(self.NODES, preemptive))
+        sim.env.run(until=100.0)
+        queue_max = sim.metrics.fleet.queue_max
+        woken = [i for i in range(self.NODES) if queue_max[i] > 0.0]
+        assert 0 < len(woken) < self.NODES
+        for index, node in enumerate(sim.nodes):
+            armed = node._wake_event is not None
+            assert armed == (queue_max[index] > 0.0)
+            assert hasattr(node, "_on_complete") == armed
+            assert hasattr(node, "_poke") == (armed and preemptive)

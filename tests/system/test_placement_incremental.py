@@ -212,3 +212,53 @@ def test_incremental_counts_without_live_set(steps):
             assert placement._stream.getstate() == clone.getstate()
         # crash/recover ops are no-ops in the fault-oblivious variant
         _check_counts(placement, metrics)
+
+
+def _idle_placement(node_count):
+    env = Environment()
+    metrics = MetricsCollector(node_count)
+    policy = EarliestDeadlineFirst()
+    nodes = [
+        Node(env=env, index=i, policy=policy, metrics=metrics)
+        for i in range(node_count)
+    ]
+    return LeastOutstandingPlacement(nodes, StreamFactory(seed=5))
+
+
+@pytest.mark.parametrize("node_count", [1, 2, 7, 1024, 1025])
+def test_linear_idle_build_matches_insert_loop(node_count):
+    """An all-idle fleet builds its count-0 bucket directly; the result
+    must equal what one ``_bucket_insert`` per node produces."""
+    built = _idle_placement(node_count)
+    looped = _idle_placement(node_count)
+    looped._bucket_tree.clear()
+    looped._bucket_size.clear()
+    looped._heap_all.clear()
+    looped._heap_all_member.clear()
+    for index in range(node_count):
+        looped._bucket_insert(0, index)
+    assert built._bucket_tree == looped._bucket_tree
+    assert built._bucket_size == looped._bucket_size == {0: node_count}
+    assert built._heap_all == looped._heap_all == [0]
+    assert built._heap_all_member == looped._heap_all_member
+    assert built._counts == [0] * node_count
+    assert built._free_trees == looped._free_trees == []
+
+
+def test_busy_start_takes_the_insert_loop():
+    """Nodes already holding work when the policy is built land in the
+    buckets of their outstanding counts."""
+    env = Environment()
+    metrics = MetricsCollector(NODE_COUNT)
+    policy = EarliestDeadlineFirst()
+    nodes = [
+        Node(env=env, index=i, policy=policy, metrics=metrics)
+        for i in range(NODE_COUNT)
+    ]
+    for index in (3, 3, 5):
+        nodes[index].submit_nowait(_unit(env, index, env.now))
+    placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=5))
+    assert placement._counts == [0, 0, 0, 2, 0, 1, 0, 0]
+    assert placement._bucket_size == {0: 6, 1: 1, 2: 1}
+    _check_counts(placement, metrics)
+    assert placement.pick_one() not in (3, 5)

@@ -240,19 +240,21 @@ class TestLocalTaskSource:
         assert stats.completed > 0
 
     def test_deadline_identity_on_generated_units(self, env, streams):
-        metrics = MetricsCollector(node_count=1)
-        node = Node(env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics)
         captured = []
-        original_submit = node.submit_nowait
 
-        def capturing_submit(unit):
-            # Snapshot at submission: fire-and-forget units return to the
-            # pool (timing dropped) as soon as the node finishes them.
-            captured.append(unit.timing.sl)
-            return original_submit(unit)
+        class CapturingNode(Node):
+            # The source submits through the no-completion-event fast path.
+            def submit_nowait(self, unit):
+                # Snapshot at submission: fire-and-forget units return to
+                # the pool (timing dropped) as soon as the node finishes
+                # them.
+                captured.append(unit.timing.sl)
+                super().submit_nowait(unit)
 
-        # The source submits through the no-completion-event fast path.
-        node.submit_nowait = capturing_submit
+        metrics = MetricsCollector(node_count=1)
+        node = CapturingNode(
+            env=env, index=0, policy=EarliestDeadlineFirst(), metrics=metrics
+        )
         LocalTaskSource(
             env=env,
             node=node,
