@@ -4,8 +4,8 @@ The acceptance bar for the fleet-state refactor (array-backed node
 state, pooled work units, O(log n) placement): simulating one event
 must not get meaningfully more expensive as the fleet grows.
 Concretely, the event-loop cost per event at 10,000 nodes stays within
-2x of the 10-node cost for both the least-outstanding (incremental
-count buckets) and zipf (Fenwick/alias samplers) placements, and a
+2x of the 10-node cost for both the least-outstanding (sorted member
+lists) and zipf (Fenwick/alias samplers) placements, and a
 100,000-node scenario constructs and runs to completion.
 
 Methodology: every cell runs the same *total* workload -- the global

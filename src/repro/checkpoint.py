@@ -48,11 +48,12 @@ from .sim.core import KERNEL
 
 #: First bytes of every checkpoint file (as a pickled header field).
 CHECKPOINT_MAGIC = "repro-checkpoint"
-#: Version 2: nodes pickle slotted, with their server callbacks armed on
-#: first wake and one ready-queue sequence counter shared by the fleet.
-#: A version-1 payload holds nodes of the older shape, so its header is
-#: refused before the payload is unpickled.
-CHECKPOINT_VERSION = 2
+#: Version 3: least-outstanding placement pickles sorted member lists
+#: (no per-count trees or heaps) and the live views carry a ``down`` set.
+#: Version 2 added slotted nodes, armed on first wake, sharing one
+#: ready-queue sequence counter.  Older payloads hold objects of an older
+#: shape, so their headers are refused before the payload is unpickled.
+CHECKPOINT_VERSION = 3
 
 #: Protocol 4 is supported by every Python this package runs on and is
 #: stable across minor versions, unlike HIGHEST_PROTOCOL.

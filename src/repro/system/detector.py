@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from collections import deque
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..sim.distributions import Distribution
 from .faults import _TIME_MODELS, _time_distribution
@@ -217,7 +217,7 @@ class SuspicionView:
     """The manager's *observed* node-liveness view.
 
     Same O(1) interface as :class:`~repro.system.faults.LiveSet`
-    (``index in view`` / ``live_count`` / ``live_indices`` /
+    (``index in view`` / ``live_count`` / ``down`` / ``live_indices`` /
     ``version``), so failure-aware placement policies and the retry
     router consume either interchangeably -- but membership here means
     *trusted*, not *up*: the :class:`FailureDetector` flips entries on
@@ -225,10 +225,12 @@ class SuspicionView:
     All-trusted at construction.
     """
 
-    __slots__ = ("_trusted", "live_count", "node_count", "version")
+    __slots__ = ("_trusted", "down", "live_count", "node_count", "version")
 
     def __init__(self, node_count: int) -> None:
         self._trusted: List[bool] = [True] * node_count
+        #: The suspected nodes (the ``down`` of a ``LiveSet``).
+        self.down: Set[int] = set()
         self.live_count = node_count
         self.node_count = node_count
         #: Bumped on every actual trust flip; cheap change detection for
@@ -241,12 +243,14 @@ class SuspicionView:
     def mark_suspected(self, index: int) -> None:
         if self._trusted[index]:
             self._trusted[index] = False
+            self.down.add(index)
             self.live_count -= 1
             self.version += 1
 
     def mark_trusted(self, index: int) -> None:
         if not self._trusted[index]:
             self._trusted[index] = True
+            self.down.discard(index)
             self.live_count += 1
             self.version += 1
 

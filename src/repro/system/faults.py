@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Set
 
 from ..sim.distributions import (
     Deterministic,
@@ -272,15 +272,17 @@ class LiveSet:
     """O(1) membership view of which nodes are currently up.
 
     Maintained by the :class:`FaultInjector`; consulted by the
-    failure-aware placement policies (``index in live_set``) and the
-    retry layer (``live_count`` / ``live_indices``).  All-up at
-    construction.
+    failure-aware placement policies (``index in live_set``, or the
+    ``down`` set) and the retry layer (``live_count`` /
+    ``live_indices``).  All-up at construction.
     """
 
-    __slots__ = ("_up", "live_count", "node_count", "version")
+    __slots__ = ("_up", "down", "live_count", "node_count", "version")
 
     def __init__(self, node_count: int) -> None:
         self._up: List[bool] = [True] * node_count
+        #: The down nodes: O(|down|) iteration for policies that skip them.
+        self.down: Set[int] = set()
         self.live_count = node_count
         self.node_count = node_count
         #: Bumped on every actual up/down flip; cheap change detection
@@ -294,12 +296,14 @@ class LiveSet:
     def mark_down(self, index: int) -> None:
         if self._up[index]:
             self._up[index] = False
+            self.down.add(index)
             self.live_count -= 1
             self.version += 1
 
     def mark_up(self, index: int) -> None:
         if not self._up[index]:
             self._up[index] = True
+            self.down.discard(index)
             self.live_count += 1
             self.version += 1
 

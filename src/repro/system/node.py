@@ -110,9 +110,11 @@ class Node:
         self._b_min = fleet.busy_min
         self._b_max = fleet.busy_max
         #: Outstanding-count change hook (``None`` keeps the hot path at
-        #: one pointer check, the tracer discipline).  An incremental
-        #: placement policy (least-outstanding) binds this to learn of
-        #: every submit/complete/crash/recover without scanning nodes.
+        #: one pointer check, the tracer discipline).  Least-outstanding
+        #: placement binds this to move the node between its sorted
+        #: member lists on every submit/complete/crash/recover.  It
+        #: carries count changes only: liveness is read from the
+        #: policy's live view when it decides.
         self._outstanding_listener = None
         # Ready-queue internals, bound once: pushes and dispatches run
         # once per unit.

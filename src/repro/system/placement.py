@@ -12,7 +12,8 @@ The scenario subsystem generalizes this into pluggable policies:
   with probability proportional to ``1 / (i + 1)^s`` (a hotspot model);
 * :class:`LeastOutstandingPlacement` -- join-the-shortest-queue routing on
   the current outstanding work (queue length + in-service), random
-  tie-breaks.
+  tie-breaks; sorted per-count member lists, kept current by node hooks,
+  replace the per-decision rescan.
 
 RNG-stream isolation rule: every policy that consumes randomness owns a
 *named* stream.  Uniform keeps the historical ``"global-route"`` name;
@@ -24,9 +25,8 @@ streams -- adding scenarios must not move fixed-seed baseline results.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set
+from bisect import bisect_left, bisect_right, insort
+from typing import Dict, List, Sequence
 
 from ..sim.rng import StreamFactory
 
@@ -361,40 +361,6 @@ class ZipfPlacement(PlacementPolicy):
         return chosen
 
 
-def _tree_update(tree: List[int], index: int, delta: int, size: int) -> None:
-    """Add ``delta`` at external 0-based ``index`` in a 1-based Fenwick."""
-    i = index + 1
-    while i <= size:
-        tree[i] += delta
-        i += i & -i
-
-
-def _tree_rank(tree: List[int], index: int) -> int:
-    """Members with external index ``<= index`` (inclusive prefix sum)."""
-    i = index + 1
-    total = 0
-    while i:
-        total += tree[i]
-        i -= i & -i
-    return total
-
-
-def _tree_select(tree: List[int], k: int, bit: int, size: int) -> int:
-    """External index of the ``k``-th member in index order (1-based k)."""
-    pos = 0
-    while bit:
-        nxt = pos + bit
-        if nxt <= size and tree[nxt] < k:
-            k -= tree[nxt]
-            pos = nxt
-        bit >>= 1
-    return pos
-
-
-#: Shared empty exclusion set: ``pick_one`` allocates nothing per call.
-_NO_EXCLUSIONS: frozenset = frozenset()
-
-
 class LeastOutstandingPlacement(PlacementPolicy):
     """Route to the node with the least outstanding work.
 
@@ -405,19 +371,23 @@ class LeastOutstandingPlacement(PlacementPolicy):
     structurally favored.
 
     Fleet-scale bookkeeping: instead of rescanning every node per
-    decision (O(n)), the policy maintains *count buckets* -- one Fenwick
-    tree of member node indices per distinct outstanding count -- updated
-    incrementally from the node outstanding hooks
-    (:attr:`~repro.system.node.Node._outstanding_listener`), with lazy
-    min-heaps over the bucket values (one fault-oblivious, one of buckets
-    with live members).  A decision finds the lowest eligible count at
-    the heap top, then selects the ``r``-th member of that bucket by
-    Fenwick descent, rank-correcting for excluded/down members.  The
-    historical draw trajectory -- ties scanned in ascending index order,
-    one ``randrange`` per multi-way tie, none for singletons -- is
-    reproduced exactly, in O(log n) per decision.  Counts derive from the
-    fleet's flat signal arrays (queue + busy), which move in exact
-    ``+-1.0`` steps.
+    decision (O(n)), the policy keeps sorted member lists, updated from
+    the node outstanding hooks
+    (:attr:`~repro.system.node.Node._outstanding_listener`): ``_active``
+    holds the nodes with work (count >= 1) and one list per count >= 1
+    holds that count's members; the idle (count-0) bucket is the
+    complement of ``_active`` and is not stored.  A hook moves one index
+    between two lists with ``bisect``/``insort``.  A decision takes the
+    lowest count with an eligible member and selects the ``r``-th
+    eligible member -- a binary search over ``_active`` for the idle
+    bucket, list indexing otherwise -- after shifting ``r`` past the
+    ranks of skipped (excluded or down) members.  Liveness is read from
+    the attached view's ``down`` set at decision time, never mirrored,
+    so a detector's trust flips (which move no count) are always seen.
+    The historical draw trajectory -- ties scanned in ascending index
+    order, one ``randrange`` per multi-way tie, none for singletons -- is
+    reproduced exactly.  Counts derive from the fleet's flat signal
+    arrays (queue + busy), which move in exact ``+-1.0`` steps.
     """
 
     name = LEAST_OUTSTANDING
@@ -425,28 +395,16 @@ class LeastOutstandingPlacement(PlacementPolicy):
     def __init__(self, nodes: Sequence, streams: StreamFactory) -> None:
         self.nodes = list(nodes)
         self._stream = streams.get("placement-lo")
-        node_count = len(self.nodes)
-        self._node_count = node_count
-        self._select_bit = (
-            1 << (node_count.bit_length() - 1) if node_count else 0
-        )
+        self._node_count = len(self.nodes)
         self._counts: List[int] = []
-        self._down: List[bool] = [False] * node_count
-        #: value -> Fenwick tree over member node indices.
-        self._bucket_tree: Dict[int, List[int]] = {}
-        self._bucket_size: Dict[int, int] = {}
-        #: value -> down members of the bucket (live tracking only).
-        self._bucket_down: Dict[int, Set[int]] = {}
-        #: Emptied buckets return their (all-zero again) trees here.
-        self._free_trees: List[List[int]] = []
-        self._heap_all: List[int] = []
-        self._heap_all_member: Set[int] = set()
-        self._heap_live: List[int] = []
-        self._heap_live_member: Set[int] = set()
-        self._fleet = None
-        if node_count:
+        #: Nodes with outstanding work, ascending.
+        self._active: List[int] = []
+        #: count (>= 1) -> its members, ascending; emptied lists are dropped.
+        self._members: Dict[int, List[int]] = {}
+        if self.nodes:
             fleet = self.nodes[0].metrics.fleet
-            self._fleet = fleet
+            self._queue_value = fleet.queue_value
+            self._busy_value = fleet.busy_value
             counts = [
                 int(queued + busy)
                 for queued, busy in zip(fleet.queue_value, fleet.busy_value)
@@ -454,40 +412,12 @@ class LeastOutstandingPlacement(PlacementPolicy):
             self._counts = counts
             if any(counts):
                 for index, count in enumerate(counts):
-                    self._bucket_insert(count, index)
-            else:
-                # The usual start, every node idle: one count-0 bucket
-                # holding every index, built in linear time.  A Fenwick
-                # tree of all ones stores each node's low bit.
-                self._bucket_tree[0] = [i & -i for i in range(node_count + 1)]
-                self._bucket_size[0] = node_count
-                self._heap_all.append(0)
-                self._heap_all_member.add(0)
+                    if count:
+                        self._active.append(index)
+                        self._members.setdefault(count, []).append(index)
             touch = self._touch
             for node in self.nodes:
                 node._outstanding_listener = touch
-
-    def attach_live_set(self, live) -> None:
-        self.live = live
-        counts = self._counts
-        down = self._down
-        bucket_down = self._bucket_down
-        bucket_down.clear()
-        for index in range(self._node_count):
-            is_down = index not in live
-            down[index] = is_down
-            if is_down:
-                bucket_down.setdefault(counts[index], set()).add(index)
-        members: Set[int] = set()
-        heap_live: List[int] = []
-        for value, size in self._bucket_size.items():
-            downs = bucket_down.get(value)
-            if size - (len(downs) if downs else 0) > 0:
-                members.add(value)
-                heap_live.append(value)
-        heapify(heap_live)
-        self._heap_live = heap_live
-        self._heap_live_member = members
 
     def _outstanding(self) -> List[int]:
         """From-scratch recompute (reference for tests; not on hot path)."""
@@ -495,216 +425,110 @@ class LeastOutstandingPlacement(PlacementPolicy):
             node.queue_length + (1 if node.busy else 0) for node in self.nodes
         ]
 
-    # -- incremental maintenance ------------------------------------------
-
-    def _bucket_insert(self, value: int, index: int) -> None:
-        tree = self._bucket_tree.get(value)
-        if tree is None:
-            free = self._free_trees
-            tree = free.pop() if free else [0] * (self._node_count + 1)
-            self._bucket_tree[value] = tree
-            self._bucket_size[value] = 1
-        else:
-            self._bucket_size[value] += 1
-        _tree_update(tree, index, 1, self._node_count)
-        if value not in self._heap_all_member:
-            self._heap_all_member.add(value)
-            heappush(self._heap_all, value)
-        if self.live is not None:
-            if self._down[index]:
-                self._bucket_down.setdefault(value, set()).add(index)
-            elif value not in self._heap_live_member:
-                self._heap_live_member.add(value)
-                heappush(self._heap_live, value)
-
-    def _bucket_remove(self, value: int, index: int) -> None:
-        tree = self._bucket_tree[value]
-        _tree_update(tree, index, -1, self._node_count)
-        size = self._bucket_size[value] - 1
-        if size:
-            self._bucket_size[value] = size
-        else:
-            # Every +1 in the tree was matched by a -1: it is all zeros
-            # again, so pool it for the next value that appears.
-            del self._bucket_tree[value]
-            del self._bucket_size[value]
-            self._free_trees.append(tree)
-        if self._down[index]:
-            downs = self._bucket_down.get(value)
-            if downs is not None:
-                downs.discard(index)
-                if not downs:
-                    del self._bucket_down[value]
-
     def _touch(self, index: int) -> None:
-        """Reconcile one node's bucket membership with the fleet arrays.
+        """Move one node to the member list of its current count.
 
         Called by the nodes after every outstanding-count transition
-        (submit/dispatch-abort/complete/crash/recover); also absorbs
-        liveness flips, since the fault injector updates the live set
-        before invoking ``crash()``/``recover()``.
+        (submit/dispatch-abort/complete/crash/recover).
         """
-        fleet = self._fleet
-        value = int(fleet.queue_value[index] + fleet.busy_value[index])
-        old = self._counts[index]
-        live = self.live
-        down = live is not None and index not in live
+        value = int(self._queue_value[index] + self._busy_value[index])
+        counts = self._counts
+        old = counts[index]
         if value == old:
-            if down == self._down[index]:
-                return
-            # Liveness-only flip: move the index between the bucket's
-            # live and down populations without touching the tree.
-            if down:
-                self._down[index] = True
-                self._bucket_down.setdefault(value, set()).add(index)
-            else:
-                self._down[index] = False
-                downs = self._bucket_down.get(value)
-                if downs is not None:
-                    downs.discard(index)
-                    if not downs:
-                        del self._bucket_down[value]
-                if value not in self._heap_live_member:
-                    self._heap_live_member.add(value)
-                    heappush(self._heap_live, value)
             return
-        # _bucket_remove consults the *old* down flag for the old
-        # bucket's down set; flip it only between remove and insert.
-        self._bucket_remove(old, index)
-        self._counts[index] = value
-        self._down[index] = down
-        self._bucket_insert(value, index)
-
-    # -- decisions ---------------------------------------------------------
-
-    def _min_value(self, excluded) -> Optional[int]:
-        """Lowest count whose bucket has a non-excluded member."""
-        heap = self._heap_all
-        member = self._heap_all_member
-        sizes = self._bucket_size
-        counts = self._counts
-        blocked = None
-        found = None
-        while heap:
-            value = heap[0]
-            size = sizes.get(value, 0)
-            if size == 0:
-                # Stale entry (bucket emptied since the push): drop it.
-                heappop(heap)
-                member.discard(value)
-                continue
-            hits = 0
-            for e in excluded:
-                if counts[e] == value:
-                    hits += 1
-            if size > hits:
-                found = value
-                break
-            # Live bucket, but this fan already took every member: set it
-            # aside for this decision only (membership stays).
-            heappop(heap)
-            if blocked is None:
-                blocked = [value]
+        counts[index] = value
+        members = self._members
+        if old:
+            bucket = members[old]
+            if len(bucket) == 1:
+                del members[old]
             else:
-                blocked.append(value)
-        if blocked:
-            for value in blocked:
-                heappush(heap, value)
-        return found
-
-    def _min_live_value(self, excluded) -> Optional[int]:
-        """Lowest count with a live, non-excluded member (or ``None``)."""
-        heap = self._heap_live
-        member = self._heap_live_member
-        sizes = self._bucket_size
-        bucket_down = self._bucket_down
-        counts = self._counts
-        down = self._down
-        blocked = None
-        found = None
-        while heap:
-            value = heap[0]
-            size = sizes.get(value, 0)
-            downs = bucket_down.get(value)
-            live_size = size - (len(downs) if downs else 0)
-            if live_size <= 0:
-                heappop(heap)
-                member.discard(value)
-                continue
-            hits = 0
-            for e in excluded:
-                if counts[e] == value and not down[e]:
-                    hits += 1
-            if live_size > hits:
-                found = value
-                break
-            heappop(heap)
-            if blocked is None:
-                blocked = [value]
+                del bucket[bisect_left(bucket, index)]
+        else:
+            insort(self._active, index)
+        if value:
+            bucket = members.get(value)
+            if bucket is None:
+                members[value] = [index]
             else:
-                blocked.append(value)
-        if blocked:
-            for value in blocked:
-                heappush(heap, value)
-        return found
+                insort(bucket, index)
+        else:
+            active = self._active
+            del active[bisect_left(active, index)]
 
-    def _select(self, value: int, excluded, failure_aware: bool) -> int:
-        """Pick uniformly among the bucket's eligible members.
+    def _select(self, skips) -> int:
+        """Uniform pick among the lowest-count nodes outside ``skips``.
 
         Reproduces the historical tie-break exactly: eligible members
         enumerate in ascending index order, ``r = randrange(k)`` only for
-        ``k > 1``, and the pick is the ``r``-th eligible member -- found
-        by Fenwick descent after shifting ``r`` past the ranks of
-        skipped (excluded or down) members.
+        ``k > 1``, and the pick is the ``r``-th eligible member.  Returns
+        -1 when ``skips`` covers every node.
         """
-        tree = self._bucket_tree[value]
-        size = self._bucket_size[value]
+        active = self._active
         counts = self._counts
-        skips = None
-        if failure_aware:
-            downs = self._bucket_down.get(value)
-            if downs:
-                skips = set(downs)
-            down = self._down
-            for e in excluded:
-                if counts[e] == value and not down[e]:
-                    if skips is None:
-                        skips = {e}
-                    else:
-                        skips.add(e)
-        else:
-            for e in excluded:
-                if counts[e] == value:
-                    if skips is None:
-                        skips = {e}
-                    else:
-                        skips.add(e)
-        eligible = size - (len(skips) if skips else 0)
-        if eligible == 1:
-            rank = 0
-        else:
-            rank = self._stream.randrange(eligible)
+        skipped = None
+        eligible = self._node_count - len(active)
         if skips:
-            for skip_rank in sorted(_tree_rank(tree, e) - 1 for e in skips):
-                if skip_rank <= rank:
+            skipped = [i for i in skips if not counts[i]]
+            eligible -= len(skipped)
+        if eligible > 0:
+            rank = self._stream.randrange(eligible) if eligible > 1 else 0
+            if skipped:
+                # Step over the skipped idle nodes ranked at or below r
+                # (an idle node's rank among the idle grows with its index).
+                skipped.sort()
+                for i in skipped:
+                    if i - bisect_left(active, i) > rank:
+                        break
                     rank += 1
-        return _tree_select(tree, rank + 1, self._select_bit, self._node_count)
+            # The rank-th idle node is rank + m, where m counts the busy
+            # nodes below it: the positions j with active[j] - j <= rank.
+            # Every busy node up to rank qualifies and none above
+            # rank + len(active) does, so sparse busy nodes leave the
+            # bisection little or nothing to do.
+            lo = bisect_right(active, rank)
+            hi = bisect_right(active, rank + len(active), lo)
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if active[mid] - mid <= rank:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return rank + lo
+        members = self._members
+        for value in sorted(members):
+            bucket = members[value]
+            eligible = len(bucket)
+            if skips:
+                skipped = [i for i in skips if counts[i] == value]
+                eligible -= len(skipped)
+            if eligible > 0:
+                rank = self._stream.randrange(eligible) if eligible > 1 else 0
+                if skipped:
+                    skipped.sort()
+                    for i in skipped:
+                        if bisect_left(bucket, i) > rank:
+                            break
+                        rank += 1
+                return bucket[rank]
+        return -1
 
     def _pick(self, excluded) -> int:
         live = self.live
-        if live is not None and live.live_count > 0:
-            value = self._min_live_value(excluded)
-            if value is not None:
-                return self._select(value, excluded, True)
+        if live is not None and live.live_count > 0 and live.down:
+            down = live.down
+            index = self._select(down.union(excluded) if excluded else down)
+            if index >= 0:
+                return index
             # Every live node already picked for this fan: degrade to
             # the fault-oblivious choice among the rest.
-        value = self._min_value(excluded)
-        if value is None:
+        index = self._select(excluded)
+        if index < 0:
             raise ValueError("no nodes available for placement")
-        return self._select(value, excluded, False)
+        return index
 
     def pick_one(self) -> int:
-        return self._pick(_NO_EXCLUSIONS)
+        return self._pick(None)
 
     def pick_distinct(self, count: int) -> List[int]:
         if count > len(self.nodes):
@@ -712,9 +536,6 @@ class LeastOutstandingPlacement(PlacementPolicy):
                 f"cannot pick {count} distinct nodes from {len(self.nodes)}"
             )
         chosen: List[int] = []
-        excluded: set = set()
         for _ in range(count):
-            index = self._pick(excluded)
-            excluded.add(index)
-            chosen.append(index)
+            chosen.append(self._pick(chosen))
         return chosen

@@ -184,7 +184,7 @@ class TestHeaderContract:
         """Version-1 files pickle nodes of the older shape (a ``__dict__``
         per node, callbacks bound at construction, a counter per ready
         queue); the header check must refuse them before unpickling."""
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         path = self._crafted(tmp_path, version=1)
         # A pickle (GLOBAL opcode) of a name the node module lacks.
         payload = b"crepro.system.node\nNoSuchNodeShape\n."
@@ -195,8 +195,22 @@ class TestHeaderContract:
             CheckpointError, match="version 1 is not supported"
         ):
             load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="reads version 2"):
+        with pytest.raises(CheckpointError, match="reads version 3"):
             read_checkpoint_header(path)
+
+    def test_version_two_is_refused_before_the_payload(self, tmp_path):
+        """Version-2 files pickle least-outstanding placement with its
+        per-count Fenwick trees and heaps and live views without a
+        ``down`` set.  Unpickled, such a policy would only fail on its
+        first decision, so the header check must refuse it up front."""
+        path = self._crafted(tmp_path, version=2)
+        # Never reached: a pickle (GLOBAL opcode) of a name that is gone.
+        payload = b"crepro.system.placement\n_tree_update\n."
+        path.write_bytes(path.read_bytes() + payload)
+        with pytest.raises(
+            CheckpointError, match="version 2 is not supported"
+        ):
+            load_checkpoint(path)
 
     def test_kernel_mismatch_names_the_remedy(self, tmp_path):
         path = self._crafted(tmp_path, kernel="compiled")
@@ -244,6 +258,37 @@ class TestSaveLoadRoundtrip:
         restored = load_checkpoint(path)
         assert restored.env.now == sim.env.now
         assert restored.config == config
+        assert restored.run() == straight
+
+    def test_least_outstanding_trees_resume_straight_through(
+        self, tmp_path
+    ):
+        """Serial-parallel trees on least-outstanding placement: the
+        restored member lists and tie-break stream must carry on as if
+        the run had never stopped."""
+        path = str(tmp_path / "lo.ckpt")
+        config = baseline_config(
+            sim_time=SIM_TIME,
+            warmup_time=WARMUP,
+            seed=5,
+            strategy="EQF-DIV1",
+            frac_local=0.2,
+            task_structure="serial-parallel",
+            stages=4,
+            stage_width=2,
+            placement="least-outstanding",
+        )
+        straight = simulate(config)
+        sim = Simulation(config)
+        sim.env.run(until=config.warmup_time)
+        sim.metrics.reset(sim.env.now)
+        sim._warmup_done = True
+        sim.env.run(until=300.0)
+        save_checkpoint(sim, path)
+        restored = load_checkpoint(path)
+        placement = restored.placement_policy
+        assert placement._counts == placement._outstanding()
+        assert any(placement._counts)
         assert restored.run() == straight
 
     def test_saving_is_read_only(self, tmp_path):

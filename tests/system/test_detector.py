@@ -132,6 +132,7 @@ class TestSuspicionView:
         assert view.node_count == 4
         assert all(i in view for i in range(4))
         assert view.live_indices() == [0, 1, 2, 3]
+        assert view.down == set()
 
     def test_flips_update_count_and_version(self):
         view = SuspicionView(3)
@@ -140,6 +141,7 @@ class TestSuspicionView:
         assert view.live_count == 2
         assert view.version == 1
         assert view.live_indices() == [0, 2]
+        assert view.down == {1}
         # Idempotent: re-suspecting is not a flip.
         view.mark_suspected(1)
         assert view.version == 1
@@ -147,6 +149,7 @@ class TestSuspicionView:
         assert 1 in view
         assert view.live_count == 3
         assert view.version == 2
+        assert view.down == set()
         view.mark_trusted(1)
         assert view.version == 2
 

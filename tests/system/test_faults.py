@@ -89,6 +89,7 @@ class TestLiveSet:
         assert live.live_count == 4
         assert all(i in live for i in range(4))
         assert live.live_indices() == [0, 1, 2, 3]
+        assert live.down == set()
 
     def test_mark_down_up_idempotent(self):
         live = LiveSet(3)
@@ -97,9 +98,11 @@ class TestLiveSet:
         assert live.live_count == 2
         assert 1 not in live
         assert live.live_indices() == [0, 2]
+        assert live.down == {1}
         live.mark_up(1)
         live.mark_up(1)
         assert live.live_count == 3
+        assert live.down == set()
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
 """Property tests of the incremental least-outstanding placement state.
 
-The fleet-state refactor replaced the O(n) per-decision rescans of
-``LeastOutstandingPlacement`` with count buckets maintained from the
-node outstanding hooks.  These tests drive random interleavings of
-submit / time-advance / crash / recover against real nodes (both the
-non-preemptive and preemptive kinds, under every crash-semantics
-variant) and assert two invariants after every step:
+``LeastOutstandingPlacement`` replaces the O(n) per-decision rescan with
+sorted member lists maintained from the node outstanding hooks.  These
+tests drive random interleavings of submit / time-advance / crash /
+recover against real nodes (both the non-preemptive and preemptive
+kinds, under every crash-semantics variant; on 8 nodes and on a
+300-node fleet) and assert two invariants after every step:
 
 * *count consistency*: the incrementally maintained outstanding counts
   equal a from-scratch recompute over the nodes (queue length + one if
@@ -15,6 +15,10 @@ variant) and assert two invariants after every step:
   against a cloned tie-break stream, consuming exactly the same draws
   (stream states must match afterwards -- the draw trajectory is what
   the golden determinism gate pins).
+
+Decision equivalence is also checked under a detector's
+``SuspicionView``, whose trust flips move no count, both with random
+flips and over every decision of a whole ``paranoid-detector`` run.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.core.task import TaskClass
 from repro.core.timing import fast_timing
 from repro.sim.core import Environment
 from repro.sim.rng import StreamFactory
+from repro.system.detector import SuspicionView
 from repro.system.faults import LiveSet
 from repro.system.metrics import MetricsCollector
 from repro.system.node import Node
@@ -38,17 +43,27 @@ from repro.system.schedulers import EarliestDeadlineFirst
 from repro.system.work import WorkUnit
 
 NODE_COUNT = 8
+#: Large enough that the idle-node (count-0) selection bisects over the
+#: busy nodes in several steps.
+WIDE_NODE_COUNT = 300
 
-#: One step of the interleaving.  Time advances are coarse fixed deltas:
-#: the point is event-order diversity, not float torture.
-ops = st.one_of(
-    st.tuples(st.just("submit"), st.integers(0, NODE_COUNT - 1)),
-    st.tuples(st.just("advance"), st.sampled_from([0.1, 0.7, 1.9, 4.0])),
-    st.tuples(st.just("crash"), st.integers(0, NODE_COUNT - 1)),
-    st.tuples(st.just("recover"), st.integers(0, NODE_COUNT - 1)),
-    st.tuples(st.just("pick_one"), st.just(0)),
-    st.tuples(st.just("pick_distinct"), st.integers(1, NODE_COUNT)),
-)
+
+def _ops(node_count, extra=()):
+    """One step of the interleaving.  Time advances are coarse fixed
+    deltas: the point is event-order diversity, not float torture."""
+    node = st.integers(0, node_count - 1)
+    return st.one_of(
+        st.tuples(st.just("submit"), node),
+        st.tuples(st.just("advance"), st.sampled_from([0.1, 0.7, 1.9, 4.0])),
+        st.tuples(st.just("crash"), node),
+        st.tuples(st.just("recover"), node),
+        st.tuples(st.just("pick_one"), st.just(0)),
+        st.tuples(st.just("pick_distinct"), st.integers(1, min(node_count, 24))),
+        *(st.tuples(st.just(op), node) for op in extra),
+    )
+
+
+ops = _ops(NODE_COUNT)
 
 
 def _reference_pick(placement, outstanding, excluded, rng):
@@ -97,38 +112,63 @@ def _check_counts(placement, metrics):
     recomputed = placement._outstanding()
     assert placement._counts == recomputed
     fleet = metrics.fleet
-    for i in range(NODE_COUNT):
+    for i in range(len(recomputed)):
         assert recomputed[i] == int(
             fleet.queue_value[i] + fleet.busy_value[i]
         )
 
 
-@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
-@pytest.mark.parametrize(
-    "lose_in_flight,drop_queued",
-    [(False, False), (True, False), (True, True)],
-)
-@settings(max_examples=40, deadline=None)
-@given(steps=st.lists(ops, min_size=1, max_size=40))
-def test_incremental_counts_and_decisions_match_rescan(
-    node_cls, lose_in_flight, drop_queued, steps
-):
+def _build(node_cls, node_count, seed, lose_in_flight=False,
+           drop_queued=False):
     env = Environment()
-    metrics = MetricsCollector(NODE_COUNT)
+    metrics = MetricsCollector(node_count)
     policy = EarliestDeadlineFirst()
     nodes = [
         node_cls(env=env, index=i, policy=policy, metrics=metrics)
-        for i in range(NODE_COUNT)
+        for i in range(node_count)
     ]
     for node in nodes:
         node.configure_fault_semantics(lose_in_flight, drop_queued)
-    placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=17))
-    live = LiveSet(NODE_COUNT)
+    placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=seed))
+    return env, metrics, nodes, placement
+
+
+def _check_decision(placement, op, arg):
+    """Run one decision against the argmin-rescan reference on a cloned
+    tie-break stream: same picks, same draws."""
+    outstanding = placement._outstanding()
+    clone = _clone(placement._stream)
+    if op == "pick_one":
+        expected = _reference_pick(placement, outstanding, set(), clone)
+        assert placement.pick_one() == expected
+    else:
+        expected = []
+        excluded: set = set()
+        for _ in range(arg):
+            pick = _reference_pick(placement, outstanding, excluded, clone)
+            excluded.add(pick)
+            expected.append(pick)
+        assert placement.pick_distinct(arg) == expected
+    assert placement._stream.getstate() == clone.getstate()
+
+
+def _drive(node_cls, node_count, lose_in_flight, drop_queued, steps):
+    """Replay ``steps`` against nodes watched by a ``LiveSet`` (the fault
+    injector's oracle view), checking counts after every step and every
+    decision against the rescan, then drain."""
+    env, metrics, nodes, placement = _build(
+        node_cls, node_count, 17, lose_in_flight, drop_queued
+    )
+    live = LiveSet(node_count)
     placement.attach_live_set(live)
 
     for op, arg in steps:
         if op == "submit":
             nodes[arg].submit_nowait(_unit(env, arg, env.now))
+        elif op == "burst":
+            # Busy nodes spread over the whole index range.
+            for index in range(arg % 7, node_count, 7):
+                nodes[index].submit_nowait(_unit(env, index, env.now))
         elif op == "advance":
             env.run(until=env.now + arg)
         elif op == "crash":
@@ -141,124 +181,174 @@ def test_incremental_counts_and_decisions_match_rescan(
             if arg not in live:
                 live.mark_up(arg)
                 nodes[arg].recover()
-        elif op == "pick_one":
-            outstanding = placement._outstanding()
-            clone = _clone(placement._stream)
-            expected = _reference_pick(placement, outstanding, set(), clone)
-            assert placement.pick_one() == expected
-            assert placement._stream.getstate() == clone.getstate()
-        else:  # pick_distinct
-            outstanding = placement._outstanding()
-            clone = _clone(placement._stream)
-            expected = []
-            excluded: set = set()
-            for _ in range(arg):
-                pick = _reference_pick(
-                    placement, outstanding, excluded, clone
-                )
-                excluded.add(pick)
-                expected.append(pick)
-            assert placement.pick_distinct(arg) == expected
-            assert placement._stream.getstate() == clone.getstate()
+        else:
+            _check_decision(placement, op, arg)
         _check_counts(placement, metrics)
 
     # Drain everything still in flight: the incremental state must stay
     # consistent through the tail of completions too.
-    for i in range(NODE_COUNT):
+    for i in range(node_count):
         if i not in live:
             live.mark_up(i)
             nodes[i].recover()
             _check_counts(placement, metrics)
     env.run(until=env.now + 1_000.0)
     _check_counts(placement, metrics)
-    assert placement._counts == [0] * NODE_COUNT
+    assert placement._counts == [0] * node_count
+    assert placement._active == [] and placement._members == {}
+
+
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+@pytest.mark.parametrize(
+    "lose_in_flight,drop_queued",
+    [(False, False), (True, False), (True, True)],
+)
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(ops, min_size=1, max_size=40))
+def test_incremental_counts_and_decisions_match_rescan(
+    node_cls, lose_in_flight, drop_queued, steps
+):
+    _drive(node_cls, NODE_COUNT, lose_in_flight, drop_queued, steps)
 
 
 @settings(max_examples=20, deadline=None)
 @given(steps=st.lists(ops, min_size=1, max_size=30))
 def test_incremental_counts_without_live_set(steps):
     """Fault-oblivious configs (live never attached) stay consistent."""
-    env = Environment()
-    metrics = MetricsCollector(NODE_COUNT)
-    policy = EarliestDeadlineFirst()
-    nodes = [
-        Node(env=env, index=i, policy=policy, metrics=metrics)
-        for i in range(NODE_COUNT)
-    ]
-    placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=23))
+    env, metrics, nodes, placement = _build(Node, NODE_COUNT, 23)
     for op, arg in steps:
         if op == "submit":
             nodes[arg].submit_nowait(_unit(env, arg, env.now))
         elif op == "advance":
             env.run(until=env.now + arg)
-        elif op == "pick_one":
-            outstanding = placement._outstanding()
-            clone = _clone(placement._stream)
-            expected = _reference_pick(placement, outstanding, set(), clone)
-            assert placement.pick_one() == expected
-            assert placement._stream.getstate() == clone.getstate()
-        elif op == "pick_distinct":
-            outstanding = placement._outstanding()
-            clone = _clone(placement._stream)
-            expected = []
-            excluded: set = set()
-            for _ in range(arg):
-                pick = _reference_pick(
-                    placement, outstanding, excluded, clone
-                )
-                excluded.add(pick)
-                expected.append(pick)
-            assert placement.pick_distinct(arg) == expected
-            assert placement._stream.getstate() == clone.getstate()
+        elif op in ("pick_one", "pick_distinct"):
+            _check_decision(placement, op, arg)
         # crash/recover ops are no-ops in the fault-oblivious variant
         _check_counts(placement, metrics)
 
 
-def _idle_placement(node_count):
-    env = Environment()
-    metrics = MetricsCollector(node_count)
-    policy = EarliestDeadlineFirst()
-    nodes = [
-        Node(env=env, index=i, policy=policy, metrics=metrics)
-        for i in range(node_count)
-    ]
-    return LeastOutstandingPlacement(nodes, StreamFactory(seed=5))
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.lists(
+        _ops(WIDE_NODE_COUNT, extra=("burst",)), min_size=1, max_size=40
+    )
+)
+def test_incremental_counts_and_decisions_match_rescan_wide(
+    node_cls, steps
+):
+    """The same replay on a wide fleet: idle picks bisect over many busy
+    nodes, fans exclude idle nodes, and crashes leave idle nodes down."""
+    _drive(node_cls, WIDE_NODE_COUNT, True, False, steps)
 
 
-@pytest.mark.parametrize("node_count", [1, 2, 7, 1024, 1025])
-def test_linear_idle_build_matches_insert_loop(node_count):
-    """An all-idle fleet builds its count-0 bucket directly; the result
-    must equal what one ``_bucket_insert`` per node produces."""
-    built = _idle_placement(node_count)
-    looped = _idle_placement(node_count)
-    looped._bucket_tree.clear()
-    looped._bucket_size.clear()
-    looped._heap_all.clear()
-    looped._heap_all_member.clear()
-    for index in range(node_count):
-        looped._bucket_insert(0, index)
-    assert built._bucket_tree == looped._bucket_tree
-    assert built._bucket_size == looped._bucket_size == {0: node_count}
-    assert built._heap_all == looped._heap_all == [0]
-    assert built._heap_all_member == looped._heap_all_member
-    assert built._counts == [0] * node_count
-    assert built._free_trees == looped._free_trees == []
-
-
-def test_busy_start_takes_the_insert_loop():
-    """Nodes already holding work when the policy is built land in the
-    buckets of their outstanding counts."""
-    env = Environment()
-    metrics = MetricsCollector(NODE_COUNT)
-    policy = EarliestDeadlineFirst()
-    nodes = [
-        Node(env=env, index=i, policy=policy, metrics=metrics)
-        for i in range(NODE_COUNT)
-    ]
-    for index in (3, 3, 5):
-        nodes[index].submit_nowait(_unit(env, index, env.now))
-    placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=5))
-    assert placement._counts == [0, 0, 0, 2, 0, 1, 0, 0]
-    assert placement._bucket_size == {0: 6, 1: 1, 2: 1}
+@settings(max_examples=100, deadline=None)
+@given(
+    loads=st.lists(
+        st.integers(0, 3), min_size=NODE_COUNT, max_size=NODE_COUNT
+    ),
+    down=st.sets(st.integers(0, NODE_COUNT - 1)),
+    fan=st.integers(1, NODE_COUNT),
+)
+def test_decisions_on_any_queue_state_match_rescan(loads, down, fan):
+    """Arbitrary queue lengths and down sets, including fleets with no
+    idle node: fans that skip several members of one busy count.  The
+    policy is built over the already-busy nodes."""
+    env, metrics, nodes, _ = _build(Node, NODE_COUNT, 31)
+    for index, units in enumerate(loads):
+        for _ in range(units):
+            nodes[index].submit_nowait(_unit(env, index, env.now))
+    live = LiveSet(NODE_COUNT)
+    for index in down:
+        live.mark_down(index)
+    placement = LeastOutstandingPlacement(nodes, StreamFactory(seed=31))
+    placement.attach_live_set(live)
     _check_counts(placement, metrics)
-    assert placement.pick_one() not in (3, 5)
+    _check_decision(placement, "pick_distinct", fan)
+    _check_decision(placement, "pick_one", 0)
+    env.run(until=2.0)
+    _check_counts(placement, metrics)
+    _check_decision(placement, "pick_one", 0)
+
+
+@pytest.mark.parametrize("node_cls", [Node, PreemptiveNode])
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        _ops(NODE_COUNT, extra=("suspect", "trust")), min_size=1,
+        max_size=40,
+    )
+)
+def test_decisions_follow_suspicion_view_flips(node_cls, steps):
+    """A detector's view flips trust without moving any count (and nodes
+    crash without the view knowing): every decision must still avoid
+    exactly the nodes suspected at that moment."""
+    env, metrics, nodes, placement = _build(node_cls, NODE_COUNT, 29)
+    view = SuspicionView(NODE_COUNT)
+    placement.attach_live_set(view)
+    for op, arg in steps:
+        if op == "submit":
+            nodes[arg].submit_nowait(_unit(env, arg, env.now))
+        elif op == "advance":
+            env.run(until=env.now + arg)
+        elif op == "crash":
+            if nodes[arg].up:
+                nodes[arg].crash()
+        elif op == "recover":
+            if not nodes[arg].up:
+                nodes[arg].recover()
+        elif op == "suspect":
+            view.mark_suspected(arg)
+        elif op == "trust":
+            view.mark_trusted(arg)
+        else:
+            _check_decision(placement, op, arg)
+        _check_counts(placement, metrics)
+
+
+def test_every_paranoid_detector_decision_matches_rescan(monkeypatch):
+    """End to end: a falsely suspicious detector over a lossy channel
+    flips trust all run long; every placement decision of the run must
+    equal the rescan reference against the view as it stands."""
+    from repro.scenarios import get_scenario
+    from repro.system.simulation import Simulation
+
+    pick_one = LeastOutstandingPlacement.pick_one
+    pick_distinct = LeastOutstandingPlacement.pick_distinct
+    decisions = []
+    mismatches = []
+
+    def check(placement, count, pick, one=False):
+        outstanding = placement._outstanding()
+        clone = _clone(placement._stream)
+        expected = []
+        for _ in range(count):
+            expected.append(
+                _reference_pick(placement, outstanding, set(expected), clone)
+            )
+        live = placement.live
+        decisions.append(live.live_count < live.node_count)
+        got = pick()
+        if ([got] if one else got) != expected or (
+            placement._stream.getstate() != clone.getstate()
+        ):
+            mismatches.append((placement.nodes[0].env.now, got, expected))
+        return got
+
+    def checked_one(self):
+        return check(self, 1, lambda: pick_one(self), one=True)
+
+    def checked_distinct(self, count):
+        return check(self, count, lambda: pick_distinct(self, count))
+
+    monkeypatch.setattr(LeastOutstandingPlacement, "pick_one", checked_one)
+    monkeypatch.setattr(
+        LeastOutstandingPlacement, "pick_distinct", checked_distinct
+    )
+    config = get_scenario("paranoid-detector").to_config(
+        placement="least-outstanding", sim_time=3000.0, seed=5
+    )
+    Simulation(config).run()
+    assert len(decisions) > 1000
+    assert any(decisions), "the view never suspected a node at a decision"
+    assert mismatches == []
